@@ -320,7 +320,6 @@ impl HybridTrainer {
         );
 
         let mut trace = Vec::with_capacity(functional_iters);
-        let mut sum_iter_time = 0.0f64;
         let mut last_loss = f32::NAN;
         let mut last_acc = 0.0f32;
         // Propagation windows (relative to `origin`) of completed
@@ -508,7 +507,6 @@ impl HybridTrainer {
             } else {
                 times.serial_iteration()
             };
-            sum_iter_time += iter_time;
             let edges: u64 = cpu_stats.total_edges()
                 + accel_stats
                     .iter()
@@ -615,7 +613,6 @@ impl HybridTrainer {
         let prefetch_restarts = feed.restarts();
         feed.finish();
 
-        let _ = sum_iter_time;
         // Steady-state iteration time: skip the first half of the trace
         // while the DRM is still settling from the coarse design-time
         // mapping (the paper measures warmed-up epochs).

@@ -6,10 +6,11 @@
 //! layer's output for all vertices. Chunked over vertices so peak memory
 //! stays bounded — the same reason the paper streams mini-batches.
 
-use crate::aggregate::{aggregate_gcn, aggregate_mean, GcnCoefficients};
+use crate::aggregate::GcnCoefficients;
 use crate::model::{GnnKind, GnnModel};
 use hyscale_graph::CsrGraph;
 use hyscale_sampler::Block;
+use hyscale_tensor::ops::relu_inplace;
 use hyscale_tensor::Matrix;
 
 /// Exact logits for every vertex via layer-wise propagation.
@@ -108,9 +109,10 @@ fn global_gcn_coefficients(block: &Block, src_global: &[u32], graph: &CsrGraph) 
 }
 
 impl GnnModel {
-    /// Apply layer `layer`'s aggregate-update to a block, optionally
-    /// overriding the aggregation coefficients (shared by training
-    /// forward and exact inference).
+    /// Apply layer `layer`'s aggregate-update (and ReLU on hidden
+    /// layers) to a block — the same per-layer forward training runs.
+    /// `coef_override` replaces GCN's in-batch coefficients (exact
+    /// inference normalises by global degrees); other kinds ignore it.
     pub fn layer_output(
         &self,
         block: &Block,
@@ -118,26 +120,19 @@ impl GnnModel {
         layer: usize,
         coef_override: Option<&GcnCoefficients>,
     ) -> Matrix {
-        let update_in = match self.kind() {
-            GnnKind::Gcn => match coef_override {
-                Some(coef) => aggregate_gcn(block, h_src, coef),
-                None => aggregate_gcn(block, h_src, &GcnCoefficients::from_block(block)),
-            },
-            GnnKind::Gin => {
-                let coef = GcnCoefficients::gin(block, 0.0);
-                aggregate_gcn(block, h_src, &coef)
-            }
-            GnnKind::GraphSage => {
-                let mean = aggregate_mean(block, h_src);
-                let mut self_feats = Matrix::zeros(block.num_dst, h_src.cols());
-                for d in 0..block.num_dst {
-                    self_feats.row_mut(d).copy_from_slice(h_src.row(d));
-                }
-                self_feats.hconcat(&mean)
+        let own;
+        let coef = match (self.kind(), coef_override) {
+            (GnnKind::Gcn, Some(coef)) => Some(coef),
+            _ => {
+                own = self.kind().block_coefficients(block);
+                own.as_ref()
             }
         };
-        let last = layer + 1 == self.num_layers();
-        self.apply_update(&update_in, layer, !last)
+        let (_, mut z) = self.layer_forward(block, h_src, layer, coef);
+        if layer + 1 < self.num_layers() {
+            relu_inplace(&mut z);
+        }
+        z
     }
 }
 

@@ -8,26 +8,48 @@
 //! h   = ReLU(z)                  (hidden layers; the last layer emits z)
 //! ```
 //!
-//! and for GraphSAGE (Eq. 4):
+//! and for GraphSAGE (Eq. 4), with the stored weight `W = [W_self; W_neigh]`
+//! (`2·f_in × f_out`):
 //!
 //! ```text
-//! cat = [H_src[..num_dst] ‖ mean(H_src)]   (num_dst × 2·f_in)
-//! z   = cat · W + b
-//! h   = ReLU(z)
+//! mean = mean(H_src)                                   (num_dst × f_in)
+//! z    = H_src[..num_dst] · W_self + mean · W_neigh + b
+//! h    = ReLU(z)
 //! ```
+//!
+//! That is Eq. 4's `[H_src[..num_dst] ‖ mean] · W` without building the
+//! concatenation. The update GEMM adds each output element's products in
+//! ascending `k` order and Rust never fuses `a*b + c`, so accumulating
+//! `mean · W_neigh` onto `H_src[..num_dst] · W_self` adds exactly the
+//! same terms in exactly the same order as the concat product: the
+//! result is bitwise equal. The weight gradient `[H_dstᵀ·∂z; meanᵀ·∂z]`
+//! is written half by half into one `2·f_in × f_out` buffer, again bit
+//! for bit what `catᵀ·∂z` gives, so checkpoints, the all-reduce payload
+//! and [`GnnModel::weight_shapes`] keep the concat layout.
 //!
 //! Backward walks the same graph in reverse (paper Fig. 1: "Backward
 //! propagation performs the same set of GNN operations ... in a reverse
-//! direction"), producing `∂W`/`∂b` per layer.
+//! direction"), producing `∂W`/`∂b` per layer. It stops after layer 0's
+//! `∂W`/`∂b`: the gradient with respect to the input features (layer 0's
+//! `∂z·Wᵀ` and its aggregation backward) would only feed parameters the
+//! model does not have, since the features are not trainable.
+//!
+//! Every layer borrows its input: the gathered features for layer 0, the
+//! previous layer's cached activation after that. The ReLU mask reads the
+//! activation instead of a copy of `z`: `ReLU(z) ≤ 0` exactly when
+//! `z ≤ 0`, so the mask is the same.
 
 use crate::aggregate::{
     aggregate_gcn, aggregate_gcn_backward, aggregate_mean, aggregate_mean_backward, GcnCoefficients,
 };
 use crate::grads::Gradients;
-use hyscale_sampler::MiniBatch;
+use hyscale_sampler::{Block, MiniBatch};
 use hyscale_tensor::ops::{add_bias_inplace, bias_grad, relu_backward_inplace, relu_inplace};
 use hyscale_tensor::optim::Optimizer;
-use hyscale_tensor::{gemm_nn, gemm_nt, gemm_tn, softmax_cross_entropy, xavier_uniform, Matrix};
+use hyscale_tensor::{
+    gemm_nn, gemm_nn_acc, gemm_nt, gemm_nt_acc, gemm_tn, gemm_tn_acc, softmax_cross_entropy,
+    xavier_uniform, Matrix,
+};
 
 /// Which aggregate-update model to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,12 +75,22 @@ impl GnnKind {
         }
     }
 
-    /// Width multiplier of the update GEMM input (SAGE concatenates
-    /// self + neighbour features).
+    /// Width multiplier of the update's input (SAGE's weight stacks
+    /// `W_self` over `W_neigh`, Eq. 4's self ‖ neighbour concatenation).
     pub fn update_width_factor(self) -> usize {
         match self {
             GnnKind::Gcn | GnnKind::Gin => 1,
             GnnKind::GraphSage => 2,
+        }
+    }
+
+    /// The aggregation coefficients a block's mini-batch layer uses
+    /// (None for SAGE's mean aggregator).
+    pub(crate) fn block_coefficients(self, block: &Block) -> Option<GcnCoefficients> {
+        match self {
+            GnnKind::Gcn => Some(GcnCoefficients::from_block(block)),
+            GnnKind::Gin => Some(GcnCoefficients::gin(block, 0.0)),
+            GnnKind::GraphSage => None,
         }
     }
 }
@@ -68,6 +100,13 @@ impl GnnKind {
 struct LayerParams {
     w: Matrix,
     b: Vec<f32>,
+}
+
+impl LayerParams {
+    /// `(W_self, W_neigh)`: the two `f_in × f_out` halves of a SAGE weight.
+    fn sage_halves(&self) -> (&[f32], &[f32]) {
+        self.w.as_slice().split_at(self.w.len() / 2)
+    }
 }
 
 /// A multi-layer GNN model (replicated per trainer under synchronous SGD).
@@ -165,53 +204,57 @@ impl GnnModel {
         );
         assert_eq!(x.cols(), self.dims[0], "feature width must match f0");
 
-        let mut h = x.clone();
-        let mut cache = ForwardCache {
-            per_layer: Vec::with_capacity(self.layers.len()),
-            logits: Matrix::zeros(0, 0),
-        };
-        for (l, (block, params)) in mb.blocks.iter().zip(&self.layers).enumerate() {
-            let last = l + 1 == self.layers.len();
-            let (update_in, gcn_coef) = match self.kind {
-                GnnKind::Gcn => {
-                    let coef = GcnCoefficients::from_block(block);
-                    let agg = aggregate_gcn(block, &h, &coef);
-                    (agg, Some(coef))
-                }
-                GnnKind::Gin => {
-                    let coef = GcnCoefficients::gin(block, 0.0);
-                    let agg = aggregate_gcn(block, &h, &coef);
-                    (agg, Some(coef))
-                }
-                GnnKind::GraphSage => {
-                    let mean = aggregate_mean(block, &h);
-                    // dst features are the src prefix
-                    let mut self_feats = Matrix::zeros(block.num_dst, h.cols());
-                    for d in 0..block.num_dst {
-                        self_feats.row_mut(d).copy_from_slice(h.row(d));
-                    }
-                    (self_feats.hconcat(&mean), None)
-                }
-            };
-            let mut z = gemm_nn(&update_in, &params.w);
-            add_bias_inplace(&mut z, &params.b);
-            let out = if last {
-                z.clone()
-            } else {
-                let mut a = z.clone();
-                relu_inplace(&mut a);
-                a
-            };
-            cache.per_layer.push(LayerCache {
-                h_src: h,
-                update_in,
-                z,
-                gcn_coef,
-            });
-            h = out;
+        let layers = self.layers.len();
+        let mut per_layer = Vec::with_capacity(layers);
+        let mut activations: Vec<Matrix> = Vec::with_capacity(layers - 1);
+        for (l, block) in mb.blocks.iter().enumerate() {
+            let h_src = activations.last().unwrap_or(x);
+            let gcn_coef = self.kind.block_coefficients(block);
+            let (agg, mut z) = self.layer_forward(block, h_src, l, gcn_coef.as_ref());
+            per_layer.push(LayerCache { agg, gcn_coef });
+            if l + 1 == layers {
+                return ForwardCache {
+                    per_layer,
+                    activations,
+                    logits: z,
+                };
+            }
+            relu_inplace(&mut z);
+            activations.push(z);
         }
-        cache.logits = h;
-        cache
+        unreachable!("a model has at least one layer")
+    }
+
+    /// Layer `layer`'s aggregate-update over `block`, before the
+    /// activation: returns the aggregation (kept for the weight gradient)
+    /// and `z`. `coef` carries GCN/GIN's aggregation coefficients and is
+    /// `None` for SAGE.
+    pub(crate) fn layer_forward(
+        &self,
+        block: &Block,
+        h_src: &Matrix,
+        layer: usize,
+        coef: Option<&GcnCoefficients>,
+    ) -> (Matrix, Matrix) {
+        let params = &self.layers[layer];
+        let (agg, mut z) = match coef {
+            Some(coef) => {
+                let agg = aggregate_gcn(block, h_src, coef);
+                let z = gemm_nn(&agg, &params.w);
+                (agg, z)
+            }
+            None => {
+                let mean = aggregate_mean(block, h_src);
+                let dims = (block.num_dst, h_src.cols(), params.w.cols());
+                let (w_self, w_neigh) = params.sage_halves();
+                let mut z = Matrix::zeros(block.num_dst, params.w.cols());
+                gemm_nn_acc(z.as_mut_slice(), dst_rows(block, h_src), w_self, dims);
+                gemm_nn_acc(z.as_mut_slice(), mean.as_slice(), w_neigh, dims);
+                (mean, z)
+            }
+        };
+        add_bias_inplace(&mut z, &params.b);
+        (agg, z)
     }
 
     /// One training step: forward, loss, backward. Returns loss/accuracy
@@ -223,46 +266,50 @@ impl GnnModel {
         let loss_out = softmax_cross_entropy(&cache.logits, labels);
         let acc = hyscale_tensor::accuracy(&cache.logits, labels);
 
-        let mut d_weights: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        let mut d_biases: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len());
+        let layers = self.layers.len();
+        let mut d_weights: Vec<Matrix> = Vec::with_capacity(layers);
+        let mut d_biases: Vec<Vec<f32>> = Vec::with_capacity(layers);
         let mut d_h = loss_out.grad; // ∂L/∂logits
-        for (l, (block, params)) in mb.blocks.iter().zip(&self.layers).enumerate().rev() {
+        for l in (0..layers).rev() {
+            let block = &mb.blocks[l];
+            let params = &self.layers[l];
             let lc = &cache.per_layer[l];
-            let last = l + 1 == self.layers.len();
+            let h_src = if l == 0 { x } else { &cache.activations[l - 1] };
             let mut d_z = d_h;
-            if !last {
-                relu_backward_inplace(&mut d_z, &lc.z);
+            if l + 1 < layers {
+                relu_backward_inplace(&mut d_z, &cache.activations[l]);
             }
             // update backward
-            let d_w = gemm_tn(&lc.update_in, &d_z);
-            let d_b = bias_grad(&d_z);
-            let d_update_in = gemm_nt(&d_z, &params.w);
-            // aggregate backward
-            let d_src = match self.kind {
-                GnnKind::Gcn | GnnKind::Gin => {
-                    let coef = lc
-                        .gcn_coef
-                        .as_ref()
-                        .expect("aggregation cache has coefficients");
-                    aggregate_gcn_backward(block, &d_update_in, coef)
+            d_weights.push(match &lc.gcn_coef {
+                Some(_) => gemm_tn(&lc.agg, &d_z),
+                None => {
+                    let dims = (h_src.cols(), block.num_dst, d_z.cols());
+                    let mut d_w = Matrix::zeros(params.w.rows(), params.w.cols());
+                    let (d_self, d_neigh) = d_w.as_mut_slice().split_at_mut(params.w.len() / 2);
+                    gemm_tn_acc(d_self, dst_rows(block, h_src), d_z.as_slice(), dims);
+                    gemm_tn_acc(d_neigh, lc.agg.as_slice(), d_z.as_slice(), dims);
+                    d_w
                 }
-                GnnKind::GraphSage => {
-                    let f_in = lc.h_src.cols();
-                    let (d_self, d_mean) = d_update_in.hsplit(f_in);
+            });
+            d_biases.push(bias_grad(&d_z));
+            if l == 0 {
+                // The input features are not trainable: no ∂L/∂X.
+                break;
+            }
+            // aggregate backward
+            d_h = match &lc.gcn_coef {
+                Some(coef) => aggregate_gcn_backward(block, &gemm_nt(&d_z, &params.w), coef),
+                None => {
+                    let dims = (block.num_dst, d_z.cols(), h_src.cols());
+                    let (w_self, w_neigh) = params.sage_halves();
+                    let mut d_mean = Matrix::zeros(block.num_dst, h_src.cols());
+                    gemm_nt_acc(d_mean.as_mut_slice(), d_z.as_slice(), w_neigh, dims);
                     let mut d_src = aggregate_mean_backward(block, &d_mean);
-                    for d in 0..block.num_dst {
-                        let row = d_self.row(d);
-                        let dst = d_src.row_mut(d);
-                        for (o, v) in dst.iter_mut().zip(row) {
-                            *o += *v;
-                        }
-                    }
+                    let d_dst = &mut d_src.as_mut_slice()[..block.num_dst * h_src.cols()];
+                    gemm_nt_acc(d_dst, d_z.as_slice(), w_self, dims);
                     d_src
                 }
             };
-            d_weights.push(d_w);
-            d_biases.push(d_b);
-            d_h = d_src;
         }
         d_weights.reverse();
         d_biases.reverse();
@@ -301,19 +348,6 @@ impl GnnModel {
         }
     }
 
-    /// Apply layer `layer`'s update stage (`z = in·W + b`, optional
-    /// ReLU) to an already-aggregated input. Shared by training and the
-    /// exact-inference path.
-    pub fn apply_update(&self, update_in: &Matrix, layer: usize, relu: bool) -> Matrix {
-        let params = &self.layers[layer];
-        let mut z = gemm_nn(update_in, &params.w);
-        add_bias_inplace(&mut z, &params.b);
-        if relu {
-            relu_inplace(&mut z);
-        }
-        z
-    }
-
     /// Replace one layer's parameters (checkpoint loading, grad-check).
     ///
     /// # Panics
@@ -338,19 +372,25 @@ impl GnnModel {
     }
 }
 
+/// The destination rows of a layer input: a block's destinations are the
+/// prefix of its sources.
+fn dst_rows<'a>(block: &Block, h_src: &'a Matrix) -> &'a [f32] {
+    &h_src.as_slice()[..block.num_dst * h_src.cols()]
+}
+
 struct LayerCache {
-    /// Input features of the layer (`H_src`).
-    h_src: Matrix,
-    /// The GEMM input (aggregated for GCN, concatenated for SAGE).
-    update_in: Matrix,
-    /// Pre-activation output.
-    z: Matrix,
-    /// GCN coefficients (None for SAGE).
+    /// The aggregation the update consumed: `C·H_src` for GCN/GIN,
+    /// `mean(H_src)` for SAGE.
+    agg: Matrix,
+    /// GCN/GIN coefficients (None for SAGE).
     gcn_coef: Option<GcnCoefficients>,
 }
 
 struct ForwardCache {
     per_layer: Vec<LayerCache>,
+    /// `ReLU(z)` of every hidden layer: layer `l + 1`'s input and layer
+    /// `l`'s ReLU mask.
+    activations: Vec<Matrix>,
     logits: Matrix,
 }
 
@@ -469,6 +509,139 @@ mod tests {
             b.apply_gradients(&avg, &mut opt_b);
         }
         assert_eq!(a.flatten_params(), b.flatten_params());
+    }
+
+    /// The training step as it was before the split-weight rewrite:
+    /// every layer clones its input, SAGE materializes
+    /// `[H_src[..num_dst] ‖ mean]` and splits its input gradient with
+    /// `hsplit`, `z` is kept beside its activation, and the backward pass
+    /// runs through layer 0's input gradient. The pin test below demands
+    /// the rewrite match it bit for bit.
+    fn reference_step(
+        model: &GnnModel,
+        mb: &MiniBatch,
+        x: &Matrix,
+        labels: &[u32],
+    ) -> (f32, Vec<Matrix>, Vec<Vec<f32>>) {
+        struct RefCache {
+            h_src: Matrix,
+            update_in: Matrix,
+            z: Matrix,
+            coef: Option<GcnCoefficients>,
+        }
+        let layers = model.layers.len();
+        let mut h = x.clone();
+        let mut caches = Vec::new();
+        for (l, (block, params)) in mb.blocks.iter().zip(&model.layers).enumerate() {
+            let (update_in, coef) = match model.kind {
+                GnnKind::GraphSage => {
+                    let mean = aggregate_mean(block, &h);
+                    let mut self_feats = Matrix::zeros(block.num_dst, h.cols());
+                    for d in 0..block.num_dst {
+                        self_feats.row_mut(d).copy_from_slice(h.row(d));
+                    }
+                    (self_feats.hconcat(&mean), None)
+                }
+                kind => {
+                    let coef = kind.block_coefficients(block).unwrap();
+                    (aggregate_gcn(block, &h, &coef), Some(coef))
+                }
+            };
+            let mut z = gemm_nn(&update_in, &params.w);
+            add_bias_inplace(&mut z, &params.b);
+            let mut out = z.clone();
+            if l + 1 < layers {
+                relu_inplace(&mut out);
+            }
+            caches.push(RefCache {
+                h_src: h,
+                update_in,
+                z,
+                coef,
+            });
+            h = out;
+        }
+        let loss = softmax_cross_entropy(&h, labels);
+        let (mut d_weights, mut d_biases) = (Vec::new(), Vec::new());
+        let mut d_h = loss.grad;
+        for l in (0..layers).rev() {
+            let (block, lc) = (&mb.blocks[l], &caches[l]);
+            let mut d_z = d_h;
+            if l + 1 < layers {
+                relu_backward_inplace(&mut d_z, &lc.z);
+            }
+            d_weights.push(gemm_tn(&lc.update_in, &d_z));
+            d_biases.push(bias_grad(&d_z));
+            let d_update_in = gemm_nt(&d_z, &model.layers[l].w);
+            d_h = match &lc.coef {
+                Some(coef) => aggregate_gcn_backward(block, &d_update_in, coef),
+                None => {
+                    let (d_self, d_mean) = d_update_in.hsplit(lc.h_src.cols());
+                    let mut d_src = aggregate_mean_backward(block, &d_mean);
+                    for d in 0..block.num_dst {
+                        for (o, v) in d_src.row_mut(d).iter_mut().zip(d_self.row(d)) {
+                            *o += *v;
+                        }
+                    }
+                    d_src
+                }
+            };
+        }
+        d_weights.reverse();
+        d_biases.reverse();
+        (loss.loss, d_weights, d_biases)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn train_step_is_bitwise_the_reference_step() {
+        let ds = Dataset::toy(7);
+        let cases: [(&[usize], &[usize]); 4] = [
+            (&[16, 32, 4], &[8, 5]),
+            (&[16, 24, 32, 4], &[5, 4, 3]),
+            // f0 > K_BLOCK: the concat GEMM's k-tiles straddle the
+            // W_self/W_neigh boundary.
+            (&[300, 32, 4], &[8, 5]),
+            (&[300, 40, 24, 4], &[5, 4, 3]),
+        ];
+        for kind in [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin] {
+            for (dims, fanouts) in cases {
+                let sampler = NeighborSampler::new(fanouts.to_vec(), 3);
+                let model = GnnModel::new(kind, dims, 11);
+                let seeds: Vec<u32> = ds.splits.train[..24].to_vec();
+                let mb = sampler.sample(&ds.graph, &seeds, 2);
+                // every fifth input an exact zero, so the GEMMs'
+                // `aik == 0.0` skip runs on the features as well as on
+                // the ReLU zeros of the hidden layers
+                let x = Matrix::from_fn(mb.input_nodes.len(), dims[0], |r, c| {
+                    if (r + c) % 5 == 0 {
+                        0.0
+                    } else {
+                        ((r * 37 + c * 11) as f32 * 0.013).sin()
+                    }
+                });
+                let labels = labels_of(&ds, &seeds);
+                let out = model.train_step(&mb, &x, &labels);
+                let (loss, d_weights, d_biases) = reference_step(&model, &mb, &x, &labels);
+                let case = format!("{} dims {dims:?}", kind.name());
+                assert_eq!(out.loss.to_bits(), loss.to_bits(), "{case}: loss");
+                for l in 0..dims.len() - 1 {
+                    assert_eq!(
+                        bits(out.grads.d_weights[l].as_slice()),
+                        bits(d_weights[l].as_slice()),
+                        "{case}: d_weights[{l}]"
+                    );
+                    assert_eq!(
+                        bits(&out.grads.d_biases[l]),
+                        bits(&d_biases[l]),
+                        "{case}: d_biases[{l}]"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

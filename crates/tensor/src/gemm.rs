@@ -49,34 +49,45 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix) -> Matrix {
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm_nn inner dimension mismatch: {k} vs {kb}");
     let mut c = Matrix::zeros(m, n);
-    let b_data = b.as_slice();
+    gemm_nn_acc(c.as_mut_slice(), a.as_slice(), b.as_slice(), (m, k, n));
+    c
+}
 
-    c.as_mut_slice()
-        .par_chunks_mut(ROW_BLOCK * n)
+/// `C += A·B` on row-major slices: `a` is `m×k`, `b` is `k×n`, `c` is
+/// `m×n`, with `dims = (m, k, n)`.
+///
+/// Every output element adds its `k` products in ascending `k` order,
+/// whatever the tiling, so splitting `A = [A₁ ‖ A₂]`, `B = [B₁; B₂]` and
+/// accumulating `A₁·B₁` then `A₂·B₂` into one `C` gives the same bits as
+/// one product over the concatenation.
+///
+/// # Panics
+/// If a slice length disagrees with `dims`.
+pub fn gemm_nn_acc(c: &mut [f32], a: &[f32], b: &[f32], dims: (usize, usize, usize)) {
+    let (m, k, n) = dims;
+    check_lens("gemm_nn_acc", c, a, b, (m * n, m * k, k * n));
+    c.par_chunks_mut(ROW_BLOCK * n)
         .enumerate()
         .for_each(|(blk, c_block)| {
             let r0 = blk * ROW_BLOCK;
-            let rows = c_block.len() / n;
             // Tile over k so the strip of B stays cache-resident.
             for k0 in (0..k).step_by(K_BLOCK) {
                 let k1 = (k0 + K_BLOCK).min(k);
                 for (ri, c_row) in c_block.chunks_exact_mut(n).enumerate() {
-                    let a_row = a.row(r0 + ri);
+                    let a_row = &a[(r0 + ri) * k..(r0 + ri + 1) * k];
                     for kk in k0..k1 {
                         let aik = a_row[kk];
                         if aik == 0.0 {
                             continue;
                         }
-                        let b_row = &b_data[kk * n..(kk + 1) * n];
+                        let b_row = &b[kk * n..(kk + 1) * n];
                         for (cv, bv) in c_row.iter_mut().zip(b_row) {
                             *cv += aik * *bv;
                         }
                     }
                 }
             }
-            let _ = rows;
         });
-    c
 }
 
 /// `C = Aᵀ·B` for row-major `A (k×m)`, `B (k×n)` → `C (m×n)`.
@@ -90,17 +101,31 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm_tn inner dimension mismatch: {k} vs {kb}");
     let mut c = Matrix::zeros(m, n);
+    gemm_tn_acc(c.as_mut_slice(), a.as_slice(), b.as_slice(), (m, k, n));
+    c
+}
 
+/// `C += Aᵀ·B` on row-major slices: `a` is `k×m`, `b` is `k×n`, `c` is
+/// `m×n`, with `dims = (m, k, n)`.
+///
+/// Output row `r` depends only on column `r` of `A`, so the rows of
+/// `Aᵀ·B` for `A = [A₁ ‖ A₂]` are those of `A₁ᵀ·B` stacked on `A₂ᵀ·B`,
+/// bit for bit.
+///
+/// # Panics
+/// If a slice length disagrees with `dims`.
+pub fn gemm_tn_acc(c: &mut [f32], a: &[f32], b: &[f32], dims: (usize, usize, usize)) {
+    let (m, k, n) = dims;
+    check_lens("gemm_tn_acc", c, a, b, (m * n, k * m, k * n));
     // Parallelize over output rows (columns of A). Each task reads all of
     // A and B but owns a disjoint slice of C.
-    c.as_mut_slice()
-        .par_chunks_mut(ROW_BLOCK * n)
+    c.par_chunks_mut(ROW_BLOCK * n)
         .enumerate()
         .for_each(|(blk, c_block)| {
             let r0 = blk * ROW_BLOCK;
             for kk in 0..k {
-                let a_row = a.row(kk);
-                let b_row = b.row(kk);
+                let a_row = &a[kk * m..(kk + 1) * m];
+                let b_row = &b[kk * n..(kk + 1) * n];
                 for (ri, c_row) in c_block.chunks_exact_mut(n).enumerate() {
                     let aik = a_row[r0 + ri];
                     if aik == 0.0 {
@@ -112,7 +137,6 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
                 }
             }
         });
-    c
 }
 
 /// `C = A·Bᵀ` for row-major `A (m×k)`, `B (n×k)` → `C (m×n)`.
@@ -126,17 +150,33 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
     let (n, kb) = b.shape();
     assert_eq!(k, kb, "gemm_nt inner dimension mismatch: {k} vs {kb}");
     let mut c = Matrix::zeros(m, n);
+    gemm_nt_acc(c.as_mut_slice(), a.as_slice(), b.as_slice(), (m, k, n));
+    c
+}
 
-    c.as_mut_slice()
-        .par_chunks_mut(ROW_BLOCK * n)
+/// `C += A·Bᵀ` on row-major slices: `a` is `m×k`, `b` is `n×k`, `c` is
+/// `m×n`, with `dims = (m, k, n)`.
+///
+/// Each output element gets one dot product, summed from `+0.0` and
+/// then added, so the columns of `A·Bᵀ` for `B = [B₁; B₂]` are those of
+/// `A·B₁ᵀ` beside `A·B₂ᵀ`, bit for bit. A sum started at `+0.0` is never
+/// `-0.0`, so accumulating straight onto an existing `C` gives the same
+/// bits as computing `A·Bᵀ` into a zeroed buffer and adding that.
+///
+/// # Panics
+/// If a slice length disagrees with `dims`.
+pub fn gemm_nt_acc(c: &mut [f32], a: &[f32], b: &[f32], dims: (usize, usize, usize)) {
+    let (m, k, n) = dims;
+    check_lens("gemm_nt_acc", c, a, b, (m * n, m * k, n * k));
+    c.par_chunks_mut(ROW_BLOCK * n)
         .enumerate()
         .for_each(|(blk, c_block)| {
             let r0 = blk * ROW_BLOCK;
             for (ri, c_row) in c_block.chunks_exact_mut(n).enumerate() {
-                let a_row = a.row(r0 + ri);
+                let a_row = &a[(r0 + ri) * k..(r0 + ri + 1) * k];
                 for (j, cv) in c_row.iter_mut().enumerate() {
                     // dot(a_row, b_row_j)
-                    let b_row = b.row(j);
+                    let b_row = &b[j * k..(j + 1) * k];
                     let mut acc = 0.0f32;
                     for (av, bv) in a_row.iter().zip(b_row) {
                         acc += av * bv;
@@ -145,7 +185,14 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
                 }
             }
         });
-    c
+}
+
+fn check_lens(name: &str, c: &[f32], a: &[f32], b: &[f32], want: (usize, usize, usize)) {
+    assert_eq!(
+        (c.len(), a.len(), b.len()),
+        want,
+        "{name} slice lengths (c, a, b) disagree with dims"
+    );
 }
 
 /// Number of multiply-accumulate operations in `A(m×k)·B(k×n)`.
@@ -251,6 +298,76 @@ mod tests {
             .unwrap();
         let single = pool.install(|| gemm_nn(&a, &b));
         assert_eq!(reference.as_slice(), single.as_slice());
+    }
+
+    /// `test_mat` with every third entry an exact zero, so the kernels'
+    /// `aik == 0.0` skip runs.
+    fn sparse_mat(rows: usize, cols: usize, seed: f32) -> Matrix {
+        let mut m = test_mat(rows, cols, seed);
+        for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *v = 0.0;
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn nn_split_accumulation_is_bitwise_the_concat_product() {
+        // k1 = 300 > K_BLOCK, so the concat product's k-tiles straddle
+        // the A₁/A₂ boundary.
+        let (m, k1, k2, n) = (70, 300, 300, 19);
+        let a1 = sparse_mat(m, k1, 0.1);
+        let a2 = sparse_mat(m, k2, 0.2);
+        let b1 = test_mat(k1, n, 0.3);
+        let b2 = test_mat(k2, n, 0.4);
+        let concat = gemm_nn(&a1.hconcat(&a2), &b1.vstack(&b2));
+
+        let mut c = Matrix::zeros(m, n);
+        gemm_nn_acc(c.as_mut_slice(), a1.as_slice(), b1.as_slice(), (m, k1, n));
+        gemm_nn_acc(c.as_mut_slice(), a2.as_slice(), b2.as_slice(), (m, k2, n));
+        assert_eq!(bits(&c), bits(&concat));
+    }
+
+    #[test]
+    fn tn_split_halves_are_bitwise_the_concat_product() {
+        let (k, m1, m2, n) = (90, 300, 300, 17);
+        let a1 = sparse_mat(k, m1, 0.5);
+        let a2 = sparse_mat(k, m2, 0.6);
+        let b = test_mat(k, n, 0.7);
+        let concat = gemm_tn(&a1.hconcat(&a2), &b);
+
+        let mut c = Matrix::zeros(m1 + m2, n);
+        let (top, bottom) = c.as_mut_slice().split_at_mut(m1 * n);
+        gemm_tn_acc(top, a1.as_slice(), b.as_slice(), (m1, k, n));
+        gemm_tn_acc(bottom, a2.as_slice(), b.as_slice(), (m2, k, n));
+        assert_eq!(bits(&c), bits(&concat));
+    }
+
+    #[test]
+    fn nt_split_halves_are_bitwise_the_concat_product() {
+        let (m, k, n1, n2) = (70, 23, 40, 40);
+        let a = sparse_mat(m, k, 0.8);
+        let b1 = test_mat(n1, k, 0.9);
+        let b2 = test_mat(n2, k, 0.15);
+        let (left, right) = gemm_nt(&a, &b1.vstack(&b2)).hsplit(n1);
+        let mut c1 = Matrix::zeros(m, n1);
+        gemm_nt_acc(c1.as_mut_slice(), a.as_slice(), b1.as_slice(), (m, k, n1));
+        let mut c2 = Matrix::zeros(m, n2);
+        gemm_nt_acc(c2.as_mut_slice(), a.as_slice(), b2.as_slice(), (m, k, n2));
+        assert_eq!(bits(&c1), bits(&left));
+        assert_eq!(bits(&c2), bits(&right));
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree with dims")]
+    fn acc_rejects_wrong_slice_lengths() {
+        let mut c = vec![0.0; 6];
+        gemm_nn_acc(&mut c, &[0.0; 6], &[0.0; 5], (2, 3, 3));
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

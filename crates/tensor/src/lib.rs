@@ -6,7 +6,8 @@
 //!
 //! * **GEMM** — the feature-update stage (`h = φ(a·W + b)`) and its
 //!   backward transposes. [`gemm`] provides cache-blocked, Rayon-parallel
-//!   `NN`/`TN`/`NT` multiplies.
+//!   `NN`/`TN`/`NT` multiplies, each also as a slice-based accumulating
+//!   kernel (`C += op(A)·op(B)`) for split-weight updates.
 //! * **Element-wise ops** — ReLU and friends ([`ops`]).
 //! * **Loss** — softmax cross-entropy with fused gradient ([`loss`]).
 //!
@@ -28,7 +29,7 @@ pub mod ops;
 pub mod optim;
 pub mod quant;
 
-pub use gemm::{gemm_nn, gemm_nt, gemm_tn, Gemm};
+pub use gemm::{gemm_nn, gemm_nn_acc, gemm_nt, gemm_nt_acc, gemm_tn, gemm_tn_acc, Gemm};
 pub use init::{xavier_uniform, Initializer};
 pub use loss::{accuracy, softmax_cross_entropy, LossOutput};
 pub use matrix::Matrix;

@@ -246,7 +246,9 @@ impl Matrix {
 
     /// Horizontally concatenate two matrices with equal row counts.
     ///
-    /// Used by the GraphSAGE update (`h_v || mean(h_u)`, paper Eq. 4).
+    /// The GraphSAGE update (`h_v || mean(h_u)`, paper Eq. 4) no longer
+    /// builds the concatenation; it is kept for reference
+    /// implementations and tests.
     ///
     /// # Panics
     /// On row mismatch.
@@ -262,7 +264,7 @@ impl Matrix {
 
     /// Split off the first `left_cols` columns, returning `(left, right)`.
     ///
-    /// Inverse of [`Matrix::hconcat`]; used by the SAGE backward pass.
+    /// Inverse of [`Matrix::hconcat`].
     ///
     /// # Panics
     /// If `left_cols > cols`.

@@ -23,7 +23,18 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let opts = Options::parse(&args[args.len().min(1)..]);
+    let rest = &args[args.len().min(1)..];
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        help();
+        return ExitCode::SUCCESS;
+    }
+    let opts = match Options::parse(rest) {
+        Ok(opts) => opts,
+        Err(reason) => {
+            eprintln!("error: {reason}\n\nrun `hyscale help` for usage");
+            return ExitCode::from(2);
+        }
+    };
     match cmd {
         "info" => info(),
         "train" => train(&opts),
@@ -75,7 +86,10 @@ struct Options {
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Options {
+    /// Parse `--flag value` pairs. An unknown flag, a missing value, an
+    /// unknown name, a malformed number or a zero `--batch`/`--scale` is
+    /// an error; nothing falls back to a default.
+    fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
             dataset: OGBN_PRODUCTS,
             model: GnnKind::Gcn,
@@ -87,36 +101,53 @@ impl Options {
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let mut value = || it.next().cloned().unwrap_or_default();
-            match flag.as_str() {
+            let flag = flag.as_str();
+            let mut value = || {
+                it.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("option `{flag}` needs a value"))
+            };
+            match flag {
                 "--dataset" => {
-                    o.dataset = match value().as_str() {
-                        "papers100m" => OGBN_PAPERS100M,
-                        "mag240m" => MAG240M_HOMO,
-                        _ => OGBN_PRODUCTS,
-                    }
+                    o.dataset = choose(
+                        flag,
+                        value()?,
+                        [
+                            ("products", OGBN_PRODUCTS),
+                            ("papers100m", OGBN_PAPERS100M),
+                            ("mag240m", MAG240M_HOMO),
+                        ],
+                    )?
                 }
                 "--model" => {
-                    o.model = match value().as_str() {
-                        "sage" => GnnKind::GraphSage,
-                        "gin" => GnnKind::Gin,
-                        _ => GnnKind::Gcn,
-                    }
+                    o.model = choose(
+                        flag,
+                        value()?,
+                        [
+                            ("gcn", GnnKind::Gcn),
+                            ("sage", GnnKind::GraphSage),
+                            ("gin", GnnKind::Gin),
+                        ],
+                    )?
                 }
                 "--accel" => {
-                    o.accel = match value().as_str() {
-                        "gpu" => AcceleratorKind::a5000(),
-                        _ => AcceleratorKind::u250(),
-                    }
+                    o.accel = choose(
+                        flag,
+                        value()?,
+                        [
+                            ("fpga", AcceleratorKind::u250()),
+                            ("gpu", AcceleratorKind::a5000()),
+                        ],
+                    )?
                 }
-                "--accelerators" => o.accelerators = value().parse().unwrap_or(4),
-                "--epochs" => o.epochs = value().parse().unwrap_or(4),
-                "--batch" => o.batch = value().parse().unwrap_or(512),
-                "--scale" => o.scale = value().parse().unwrap_or(4000),
-                _ => {}
+                "--accelerators" => o.accelerators = count(flag, value()?, 0)?,
+                "--epochs" => o.epochs = count(flag, value()?, 0)?,
+                "--batch" => o.batch = count(flag, value()?, 1)?,
+                "--scale" => o.scale = count(flag, value()?, 1)? as u64,
+                _ => return Err(format!("unknown option `{flag}`")),
             }
         }
-        o
+        Ok(o)
     }
 
     fn system(&self) -> SystemConfig {
@@ -125,6 +156,34 @@ impl Options {
         cfg.train.batch_per_trainer = self.batch;
         cfg.train.max_functional_iters = Some(4);
         cfg
+    }
+}
+
+/// The value named `value` among `choices`.
+fn choose<T, const N: usize>(
+    flag: &str,
+    value: &str,
+    choices: [(&str, T); N],
+) -> Result<T, String> {
+    let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+    choices
+        .into_iter()
+        .find(|(name, _)| *name == value)
+        .map(|(_, v)| v)
+        .ok_or_else(|| {
+            format!(
+                "unknown {flag} value `{value}` (expected {})",
+                names.join("|")
+            )
+        })
+}
+
+/// A non-negative integer of at least `min`.
+fn count(flag: &str, value: &str, min: usize) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(n) => Err(format!("{flag} must be at least {min}, got {n}")),
+        Err(_) => Err(format!("{flag} needs a whole number, got `{value}`")),
     }
 }
 
@@ -218,4 +277,98 @@ fn scalability(o: &Options) -> ExitCode {
         println!("  {n:>3} accelerators: {s:>6.2}x");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Options::parse(&args)
+    }
+
+    fn error(args: &[&str]) -> String {
+        match parse(args) {
+            Ok(_) => panic!("{args:?} parsed"),
+            Err(reason) => reason,
+        }
+    }
+
+    #[test]
+    fn defaults_without_flags() {
+        let o = parse(&[]).unwrap();
+        assert_eq!(o.dataset.name, OGBN_PRODUCTS.name);
+        assert_eq!(o.model, GnnKind::Gcn);
+        assert_eq!(o.accel.label(), AcceleratorKind::u250().label());
+        assert_eq!(
+            (o.accelerators, o.epochs, o.batch, o.scale),
+            (4, 4, 512, 4000)
+        );
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let o = parse(&[
+            "--dataset",
+            "papers100m",
+            "--model",
+            "sage",
+            "--accel",
+            "gpu",
+            "--accelerators",
+            "2",
+            "--epochs",
+            "0",
+            "--batch",
+            "64",
+            "--scale",
+            "9000",
+        ])
+        .unwrap();
+        assert_eq!(o.dataset.name, OGBN_PAPERS100M.name);
+        assert_eq!(o.model, GnnKind::GraphSage);
+        assert_eq!(o.accel.label(), AcceleratorKind::a5000().label());
+        assert_eq!(
+            (o.accelerators, o.epochs, o.batch, o.scale),
+            (2, 0, 64, 9000)
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_flag() {
+        assert!(error(&["--bogus", "1"]).contains("unknown option `--bogus`"));
+        assert!(error(&["products"]).contains("unknown option `products`"));
+    }
+
+    #[test]
+    fn rejects_missing_value() {
+        assert!(error(&["--epochs"]).contains("`--epochs` needs a value"));
+    }
+
+    #[test]
+    fn rejects_unknown_names() {
+        assert!(error(&["--dataset", "cora"]).contains("unknown --dataset value `cora`"));
+        assert!(error(&["--model", "gat"]).contains("unknown --model value `gat`"));
+        assert!(error(&["--accel", "tpu"]).contains("unknown --accel value `tpu`"));
+    }
+
+    #[test]
+    fn rejects_malformed_numbers() {
+        for flag in ["--accelerators", "--epochs", "--batch", "--scale"] {
+            for bad in ["x", "-1", "2.5", ""] {
+                let reason = error(&[flag, bad]);
+                assert!(
+                    reason.contains("needs a whole number"),
+                    "{flag} {bad}: {reason}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_zero_batch_and_scale() {
+        assert!(error(&["--batch", "0"]).contains("--batch must be at least 1"));
+        assert!(error(&["--scale", "0"]).contains("--scale must be at least 1"));
+    }
 }
