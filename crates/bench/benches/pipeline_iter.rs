@@ -26,7 +26,6 @@ fn config() -> SystemConfig {
             transfer_precision: hyscale_tensor::Precision::F32,
             prefetch_depth: 0,
             staging_ring_depth: 2,
-            transfer_lanes: 0,
         },
     }
 }

@@ -8,12 +8,11 @@
 //! with identical seeds: once fully serial (`prefetch_depth = 0`) and
 //! once with task-level feature prefetching through double-buffered
 //! staging rings. It reports measured iterations/second and speedup,
-//! the measured transfer-overlap ratio (the share of the wire
-//! round-trip that executed behind propagation of an earlier batch),
 //! plus the discrete-event simulator's predictions from the measured
 //! serial stage walls — both the idealized steady-state bound and the
-//! ring-gated walls at staging depths 1 and 2, whose gap is the
-//! transfer time double buffering hides. On a single-core container the
+//! ring-gated walls at staging depths 1 and 2. Accelerator batches are
+//! gathered from the int8 feature view built at set-up, so the wire
+//! stage has no host cost to measure. On a single-core container the
 //! measured speedup degenerates to ~1x (there is no second core to
 //! overlap on; `cpus` in the JSON tells you which case you are looking
 //! at), while the predicted numbers remain meaningful.
@@ -29,18 +28,17 @@
 
 use hyscale_core::config::AcceleratorKind;
 use hyscale_core::drm::{DrmEngine, WorkloadSplit};
-use hyscale_core::pipeline::{
-    simulate_pipeline, simulate_pipeline_multilane, simulate_pipeline_ringed, PipelineStageCosts,
-};
+use hyscale_core::pipeline::{simulate_pipeline, simulate_pipeline_ringed, PipelineStageCosts};
 use hyscale_core::{
     EpochReport, HybridTrainer, IterationFeed, MatrixPool, OptFlags, PrepareCtx, StagingRings,
-    SystemConfig, ThreadAlloc, TransferLaneGate, WallStageTimes,
+    SystemConfig, ThreadAlloc, WallStageTimes,
 };
 use hyscale_gnn::GnnKind;
 use hyscale_graph::dataset::OGBN_PRODUCTS;
 use hyscale_graph::features::Splits;
 use hyscale_graph::Dataset;
 use hyscale_sampler::{EpochBatcher, NeighborSampler};
+use hyscale_tensor::quant::WireFeatures;
 use std::sync::Arc;
 
 const DEPTH: usize = 2;
@@ -109,12 +107,12 @@ fn functional_wall(reports: &[EpochReport]) -> f64 {
 }
 
 /// Mid-epoch single-lane rebalance scenario (runs in smoke mode too):
-/// a hybrid feed with three accelerator transfer lanes takes a *burst*
+/// a hybrid feed with three accelerator lanes takes a *burst*
 /// of two `balance_work` moves — both shifting seeds from lane 0 to
 /// the CPU trainer, while lanes 1 and 2 keep their slices. The feed
 /// must coalesce the burst into one re-slice against the final quotas,
 /// salvage the untouched trainers' queued batches, and drain only lane
-/// 0's ring and lane channel; the returned tuple is
+/// 0's ring; the returned tuple is
 /// `(batches_salvaged, batches_flushed, invalidation_cost_s,
 /// remaps_coalesced)` for the bench JSON.
 fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
@@ -123,16 +121,17 @@ fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
     let order = Arc::new(batcher.epoch_order(0));
     let alloc = ThreadAlloc::default_for(8);
     let ctx = Arc::new(PrepareCtx {
+        accel_features: Arc::new(WireFeatures::build(
+            hyscale_tensor::Precision::Int8,
+            &dataset.data.features,
+        )),
         dataset,
         batcher,
         sampler: NeighborSampler::new(vec![5, 3], 11),
-        precision: hyscale_tensor::Precision::Int8,
         hybrid: true,
         workers: Arc::new(hyscale_core::StageWorkers::from_alloc(&alloc)),
         numa_domains: 2,
         rings: Arc::new(StagingRings::new(3, 2)),
-        transfer_gate: Arc::new(TransferLaneGate::new(alloc.loader, true)),
-        origin: std::time::Instant::now(),
     });
     let pool = Arc::new(MatrixPool::new());
     let old_quotas = vec![12usize, 8, 8, 8];
@@ -175,14 +174,14 @@ fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
     let cost = feed.invalidation_wall_s();
     let coalesced = feed.remaps_coalesced();
     assert_eq!(
-        feed.rings().ring(0).channel_drains(),
+        feed.rings().ring(0).drains(),
         1,
-        "the moved lane's channel must drain exactly once for the burst"
+        "the moved lane's ring must drain exactly once for the burst"
     );
     assert_eq!(
-        feed.rings().ring(1).channel_drains() + feed.rings().ring(2).channel_drains(),
+        feed.rings().ring(1).drains() + feed.rings().ring(2).drains(),
         0,
-        "untouched lanes' channels must not drain"
+        "untouched lanes' rings must not drain"
     );
     feed.finish();
     (salvaged, flushed, cost, coalesced)
@@ -191,16 +190,14 @@ fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
 /// Overlap-aware DRM scenario: replay one Algorithm 1 decision on the
 /// settled simulated stage times, once with the paper's bundled
 /// `max(T_Tran, T_TA)` estimate and once charging the accelerator task
-/// the *measured* visible (un-hidden) transfer share from the real
-/// pipeline. Returns `(visible_ratio, quota_delta)` where `quota_delta`
-/// is how many more seeds the overlap-aware engine parks on the CPU
-/// trainer than the bundled one (positive = the measured overlap being
-/// imperfect biased work away from the bandwidth-bound lanes).
-fn drm_overlap_scenario(
-    prefetched: &[EpochReport],
-    measured_overlap_ratio: f64,
-    cfg: &SystemConfig,
-) -> (f64, isize) {
+/// the visible (un-hidden) transfer share the executor derives from the
+/// configuration (ring depth ≥ 2 with TFP hides the wire behind
+/// accelerator compute, leaving only the excess). Returns
+/// `(visible_ratio, quota_delta)` where `quota_delta` is how many more
+/// seeds the overlap-aware engine parks on the CPU trainer than the
+/// bundled one (positive = the visible wire time biased work away from
+/// the bandwidth-bound lanes).
+fn drm_overlap_scenario(prefetched: &[EpochReport], cfg: &SystemConfig) -> (f64, isize) {
     let last = prefetched
         .last()
         .and_then(|r| r.trace.last())
@@ -220,7 +217,16 @@ fn drm_overlap_scenario(
     let mut th1 = ThreadAlloc::default_for(cfg.platform.total_threads);
     engine.adjust(&times, &mut bundled, &mut th1);
 
-    let visible_ratio = (1.0 - measured_overlap_ratio).clamp(0.0, 1.0);
+    let visible = if !cfg.opt.tfp || cfg.train.staging_ring_depth <= 1 {
+        times.transfer
+    } else {
+        (times.transfer - times.train_accel).max(0.0)
+    };
+    let visible_ratio = if times.transfer > 0.0 {
+        (visible / times.transfer).clamp(0.0, 1.0)
+    } else {
+        0.0
+    };
     let mut aware = make_split();
     let mut th2 = ThreadAlloc::default_for(cfg.platform.total_threads);
     engine.adjust_with_visible(&times, times.transfer * visible_ratio, &mut aware, &mut th2);
@@ -269,9 +275,8 @@ fn main() {
     // The discrete-event pipeline model on the measured serial stage
     // walls: the steady-state speedup this stage balance supports at
     // depth `DEPTH` once enough cores exist to actually overlap, plus
-    // the ring-gated walls — depth-1 staging serializes transfer with
-    // propagation, depth-2 double-buffers it, and the gap between the
-    // two is the wire time the rings hide.
+    // the ring-gated walls — depth-1 staging serializes staging with
+    // propagation, depth-2 double-buffers it.
     let stage_means = WallStageTimes::mean_of(serial.iter().map(|r| &r.wall_stages));
     let costs = PipelineStageCosts::from_wall(&stage_means);
     let n = iters(&serial).max(2);
@@ -279,39 +284,13 @@ fn main() {
     let predicted = serial_sim / simulate_pipeline(&costs, n, DEPTH).makespan;
     let ring1_wall = simulate_pipeline_ringed(&costs, n, DEPTH, 1).makespan;
     let ring2_wall = simulate_pipeline_ringed(&costs, n, DEPTH, 2).makespan;
-    let predicted_hidden_per_iter = ((ring1_wall - ring2_wall) / n as f64).max(0.0);
-
-    // Per-lane transfer model on the measured serial lane walls: what a
-    // single serialized transfer thread would cost vs. concurrent
-    // per-accelerator lanes (the gap is the wire time lane concurrency
-    // folds away once the host has cores to run the lanes on).
-    let lane_walls = stage_means.lane_transfer_s.clone();
-    let lanes_serialized_wall =
-        simulate_pipeline_multilane(&costs, &lane_walls, n, DEPTH, ring_depth, 1).makespan;
-    let lanes_concurrent_wall = simulate_pipeline_multilane(
-        &costs,
-        &lane_walls,
-        n,
-        DEPTH,
-        ring_depth,
-        lane_walls.len().max(1),
-    )
-    .makespan;
 
     let prefetch_means = WallStageTimes::mean_of(prefetched.iter().map(|r| &r.wall_stages));
     let overlap = prefetch_means.overlap_factor();
-    let transfer_overlap_ratio = prefetch_means.transfer_overlap_ratio();
-    let transfer_lanes = prefetch_means.transfer_lanes.max(1);
     let restarts: usize = prefetched.iter().map(|r| r.prefetch_restarts).sum();
     // Settled worker-pool widths the producer dispatched on (the logical
     // ThreadAlloc; effective threads are capped by `cpus`).
     let alloc = prefetch_means.threads;
-    let fmt_lanes = |xs: &[f64]| {
-        let inner: Vec<String> = xs.iter().map(|x| format!("{x:.6}")).collect();
-        format!("[{}]", inner.join(", "))
-    };
-    let lane_transfer_json = fmt_lanes(&prefetch_means.lane_transfer_s);
-    let lane_hidden_json = fmt_lanes(&prefetch_means.lane_transfer_hidden_s);
 
     // Surgical-invalidation scenario: mid-epoch single-lane rebalance
     // burst, coalesced into one re-slice.
@@ -319,27 +298,21 @@ fn main() {
         invalidation_scenario(&dataset);
 
     // Overlap-aware DRM scenario: one Algorithm 1 decision with the
-    // measured visible-transfer share vs. the bundled assumption.
-    let (drm_visible_ratio, drm_quota_delta) =
-        drm_overlap_scenario(&prefetched, transfer_overlap_ratio, &cfg);
+    // visible-transfer share vs. the bundled assumption.
+    let (drm_visible_ratio, drm_quota_delta) = drm_overlap_scenario(&prefetched, &cfg);
 
     let json = format!(
         "{{\n  \"bench\": \"pipeline\",\n  \"dataset\": \"{}\",\n  \"scale\": {},\n  \
          \"cpus\": {},\n  \"smoke\": {},\n  \
          \"epochs_measured\": {},\n  \"iters_measured\": {},\n  \"prefetch_depth\": {},\n  \
-         \"ring_depth\": {},\n  \"transfer_lanes\": {},\n  \
+         \"ring_depth\": {},\n  \
          \"serial_iters_per_sec\": {:.4},\n  \"prefetch_iters_per_sec\": {:.4},\n  \
          \"serial_iter_wall_s\": {:.6},\n  \"prefetch_iter_wall_s\": {:.6},\n  \
          \"serial_stage_walls_s\": {{\"sample\": {:.6}, \"load\": {:.6}, \
-         \"transfer\": {:.6}, \"train\": {:.6}}},\n  \
+         \"train\": {:.6}}},\n  \
          \"speedup_vs_serial\": {:.4},\n  \"predicted_speedup\": {:.4},\n  \
          \"predicted_wall_ring1_s\": {:.6},\n  \"predicted_wall_ring2_s\": {:.6},\n  \
-         \"predicted_transfer_hidden_per_iter_s\": {:.6},\n  \
-         \"predicted_wall_lanes_serialized_s\": {:.6},\n  \
-         \"predicted_wall_lanes_concurrent_s\": {:.6},\n  \
-         \"overlap_factor\": {:.4},\n  \"transfer_overlap_ratio\": {:.4},\n  \
-         \"transfer_hidden_s\": {:.6},\n  \
-         \"lane_transfer_s\": {},\n  \"lane_transfer_hidden_s\": {},\n  \
+         \"overlap_factor\": {:.4},\n  \
          \"drm_queue_restarts\": {},\n  \
          \"batches_salvaged\": {},\n  \"batches_flushed\": {},\n  \
          \"invalidation_cost_s\": {:.6},\n  \"drm_remaps_coalesced\": {},\n  \
@@ -354,27 +327,18 @@ fn main() {
         iters(&serial),
         DEPTH,
         ring_depth,
-        transfer_lanes,
         serial_ips,
         prefetch_ips,
         serial_wall / serial_iters,
         prefetch_wall / prefetch_iters,
         stage_means.sample_s,
         stage_means.load_s,
-        stage_means.transfer_s,
         stage_means.train_s,
         speedup,
         predicted,
         ring1_wall,
         ring2_wall,
-        predicted_hidden_per_iter,
-        lanes_serialized_wall,
-        lanes_concurrent_wall,
         overlap,
-        transfer_overlap_ratio,
-        prefetch_means.transfer_hidden_s,
-        lane_transfer_json,
-        lane_hidden_json,
         restarts,
         batches_salvaged,
         batches_flushed,
@@ -391,16 +355,12 @@ fn main() {
     print!("{json}");
     eprintln!(
         "measured {speedup:.2}x vs serial on {cpus} cpu(s); stage balance supports \
-         {predicted:.2}x at depth {DEPTH}; ring 1 -> 2 hides \
-         {:.1} ms of transfer per iteration (predicted); {transfer_lanes} transfer lane(s), \
-         serialized -> concurrent lanes saves {:.1} ms over the epoch (predicted); \
-         measured transfer overlap {:.0}%; burst rebalance salvaged {batches_salvaged} / \
-         flushed {batches_flushed} batches in {:.1} ms ({remaps_coalesced} re-map \
-         coalesced); overlap-aware DRM quota delta {drm_quota_delta}; wrote \
-         BENCH_pipeline.json",
-        predicted_hidden_per_iter * 1e3,
-        (lanes_serialized_wall - lanes_concurrent_wall) * 1e3,
-        transfer_overlap_ratio * 100.0,
+         {predicted:.2}x at depth {DEPTH}; ring 1 -> 2 epoch wall {:.1} -> {:.1} ms \
+         (predicted); burst rebalance salvaged {batches_salvaged} / flushed \
+         {batches_flushed} batches in {:.1} ms ({remaps_coalesced} re-map coalesced); \
+         overlap-aware DRM quota delta {drm_quota_delta}; wrote BENCH_pipeline.json",
+        ring1_wall * 1e3,
+        ring2_wall * 1e3,
         invalidation_cost_s * 1e3,
     );
 }

@@ -4,8 +4,9 @@
 //! quantization as future work — this binary quantifies that proposal.
 //!
 //! Timing: wire bytes shrink 2× (f16) or ~4× (int8). Functional: the
-//! executor really round-trips features through the quantizer, so the
-//! accuracy cost is measured, not assumed.
+//! accelerator trainers really read their features through the
+//! quantized feature view, so the accuracy cost is measured, not
+//! assumed.
 
 use hyscale_bench::{simulate_epoch, Table, DRM_SETTLE_ITERS};
 use hyscale_core::config::AcceleratorKind;

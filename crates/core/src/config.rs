@@ -213,7 +213,8 @@ pub struct TrainConfig {
     /// Wire precision of mini-batch features on the PCIe transfer —
     /// the paper's §VIII data-quantization extension. Features are
     /// really quantized/dequantized in the functional path, so accuracy
-    /// effects are measurable.
+    /// effects are measurable: accelerator trainers read their features
+    /// from a view of the feature matrix built once at this precision.
     pub transfer_precision: Precision,
     /// Task-level Feature Prefetching depth `d` (paper §IV-B) for the
     /// *real* executor pipeline: how many iterations of sampled +
@@ -223,29 +224,15 @@ pub struct TrainConfig {
     /// to `0` — prefetching is pure wall-clock overlap (enforced by
     /// `tests/equivalence.rs`).
     pub prefetch_depth: usize,
-    /// Per-accelerator staging-ring depth for the producer's transfer
-    /// stage (clamped ≥ 1 when prefetching). Each accelerator lane owns
-    /// this many staging slots; a slot is held from the start of a
-    /// batch's wire-precision round-trip until its propagation
-    /// completes, so `1` serializes transfer with accelerator compute
-    /// (a single staging buffer) while `2` double-buffers — the wire
-    /// transfer of batch `i+1` overlaps the compute of batch `i`.
+    /// Per-accelerator staging-ring depth for the prefetch producer
+    /// (clamped ≥ 1 when prefetching). Each accelerator owns this many
+    /// staging slots; a slot is held from the moment a gathered batch is
+    /// staged until its propagation completes, so `1` serializes staging
+    /// with accelerator compute (a single staging buffer) while `2`
+    /// double-buffers — batch `i+1` is staged while batch `i` computes.
     /// Bitwise-neutral like `prefetch_depth`: ring depth changes
     /// wall-clock only (enforced by `tests/equivalence.rs`).
     pub staging_ring_depth: usize,
-    /// Concurrent transfer-lane cap for the producer's per-accelerator
-    /// transfer stage. Each accelerator owns a dedicated transfer lane
-    /// (its staging ring plus a bounded lane channel fed by the gather
-    /// stage); this cap bounds how many of those lanes may run their
-    /// wire-precision round-trips *concurrently*, WorkerGroup-style
-    /// (the effective concurrency is further capped by the host's real
-    /// parallelism). `0` means "follow the DRM's loader thread budget":
-    /// a `balance_thread` move then re-sizes the live lane concurrency
-    /// in place — no queue or ring drain, exactly like pool widths.
-    /// Bitwise-neutral like `prefetch_depth` and `staging_ring_depth`:
-    /// lane concurrency changes wall-clock only (enforced by the
-    /// multi-lane matrix in `tests/proptest_invariants.rs`).
-    pub transfer_lanes: usize,
 }
 
 impl TrainConfig {
@@ -263,7 +250,6 @@ impl TrainConfig {
             transfer_precision: Precision::F32,
             prefetch_depth: 2,
             staging_ring_depth: 2,
-            transfer_lanes: 0,
         }
     }
 

@@ -22,8 +22,8 @@
 //!   stage (Eq. 6), without it the communication stages serialize. This
 //!   is what the paper-reproduction figures use.
 //! * **Measured** ([`crate::prefetch`], `IterationReport::wall`) — the
-//!   host wall-clock actually spent in sampling, feature loading, the
-//!   precision round-trip, and propagation. With
+//!   host wall-clock actually spent in sampling, feature loading, and
+//!   propagation. With
 //!   `TrainConfig::prefetch_depth > 0` the producer stages execute on a
 //!   background thread overlapped with propagation — the paper's
 //!   Task-level Feature Prefetching as a real pipeline, not only a
@@ -33,9 +33,7 @@
 use crate::config::SystemConfig;
 use crate::drm::{DrmAction, DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
 use crate::perf_model::{compute_stage_times, PerfModel, StageInputs};
-use crate::prefetch::{
-    IterationFeed, MatrixPool, PrepareCtx, PreparedIteration, StagingRings, TransferLaneGate,
-};
+use crate::prefetch::{IterationFeed, MatrixPool, PrepareCtx, PreparedIteration, StagingRings};
 use crate::protocol::TrainingRound;
 use crate::report::{EpochReport, IterationReport, WallStageTimes};
 use crate::stages::StageWorkers;
@@ -45,6 +43,7 @@ use hyscale_gnn::{GnnModel, Gradients};
 use hyscale_graph::features::gather_features;
 use hyscale_graph::Dataset;
 use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler, WorkloadStats};
+use hyscale_tensor::quant::WireFeatures;
 use hyscale_tensor::{Matrix, Optimizer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -65,7 +64,10 @@ pub struct HybridTrainer {
     sync: Synchronizer,
     pool: Arc<MatrixPool>,
     rings: Arc<StagingRings>,
-    transfer_gate: Arc<TransferLaneGate>,
+    /// The accelerator-side feature view: the feature matrix at the
+    /// wire precision, built once here so the §VIII round-trip costs
+    /// set-up time instead of per-iteration host work.
+    accel_features: Arc<WireFeatures>,
     next_epoch: u64,
     /// Scripted DRM moves applied after their `(epoch, iter)` slot —
     /// the deterministic injection point the randomized DRM-schedule
@@ -76,7 +78,8 @@ pub struct HybridTrainer {
 impl HybridTrainer {
     /// Build a trainer: design-time initial task mapping from the
     /// performance model (paper §IV-A "initialize the GNN training task
-    /// mapping during compile time"), replicated model, seeded samplers.
+    /// mapping during compile time"), replicated model, seeded samplers,
+    /// and the accelerator-side feature view at the wire precision.
     pub fn new(cfg: SystemConfig, dataset: Dataset) -> Self {
         let dims = cfg
             .train
@@ -93,17 +96,9 @@ impl HybridTrainer {
             cfg.platform.num_accelerators,
             cfg.train.staging_ring_depth,
         ));
-        // Transfer-lane concurrency: an explicit cap pins it; 0 follows
-        // the DRM's loader budget so balance_thread moves re-size the
-        // live lane concurrency in place.
-        let follow = cfg.train.transfer_lanes == 0;
-        let transfer_gate = Arc::new(TransferLaneGate::new(
-            if follow {
-                threads.loader
-            } else {
-                cfg.train.transfer_lanes
-            },
-            follow,
+        let accel_features = Arc::new(WireFeatures::build(
+            cfg.train.transfer_precision,
+            &dataset.data.features,
         ));
         Self {
             cfg,
@@ -120,7 +115,7 @@ impl HybridTrainer {
             sync: Synchronizer::new(),
             pool: Arc::new(MatrixPool::new()),
             rings,
-            transfer_gate,
+            accel_features,
             next_epoch: 0,
             drm_schedule: Vec::new(),
         }
@@ -162,7 +157,6 @@ impl HybridTrainer {
         self.split = split;
         self.threads = threads;
         self.workers.apply(&self.threads);
-        self.transfer_gate.on_thread_alloc(&self.threads);
     }
 
     /// The live CPU worker pools (sampler / loader / trainer) the real
@@ -171,18 +165,11 @@ impl HybridTrainer {
         &self.workers
     }
 
-    /// The per-accelerator staging rings the producer's transfer lanes
-    /// double-buffer through (`TrainConfig::staging_ring_depth` slots
+    /// The per-accelerator staging rings the prefetch producer
+    /// double-buffers through (`TrainConfig::staging_ring_depth` slots
     /// each).
     pub fn rings(&self) -> &StagingRings {
         &self.rings
-    }
-
-    /// The live transfer-lane concurrency gate
-    /// (`TrainConfig::transfer_lanes`; in auto mode `balance_thread`
-    /// moves re-size it).
-    pub fn transfer_gate(&self) -> &TransferLaneGate {
-        &self.transfer_gate
     }
 
     /// The replicated model (read access for evaluation).
@@ -215,7 +202,6 @@ impl HybridTrainer {
         self.split = split;
         self.threads = ckpt.thread_alloc();
         self.workers.apply(&self.threads);
-        self.transfer_gate.on_thread_alloc(&self.threads);
         self.next_epoch = ckpt.epoch;
     }
 
@@ -273,18 +259,14 @@ impl HybridTrainer {
     /// Train one epoch.
     ///
     /// With `prefetch_depth > 0` the producer stages (sampling, feature
-    /// loading, precision round-trip) run on a background thread feeding
-    /// a bounded queue, overlapped with GNN propagation here; DRM
+    /// loading) run on a background thread feeding a bounded queue,
+    /// overlapped with GNN propagation here; DRM
     /// re-mapping events invalidate the queue before a split change
     /// takes effect, so training is bitwise-identical to `depth = 0`.
     pub fn train_epoch(&mut self) -> EpochReport {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
         let wall_start = Instant::now();
-        // Shared time origin for the epoch: the producer stamps transfer
-        // spans against it and we stamp propagation windows, so the
-        // intersection measures the wire time the staging rings hid.
-        let origin = wall_start;
 
         let order = Arc::new(self.batcher.epoch_order(epoch));
         let total_batch = self.split.total;
@@ -301,13 +283,11 @@ impl HybridTrainer {
             dataset: Arc::clone(&self.dataset),
             batcher: self.batcher.clone(),
             sampler: self.sampler.clone(),
-            precision: self.cfg.train.transfer_precision,
+            accel_features: Arc::clone(&self.accel_features),
             hybrid: self.cfg.opt.hybrid,
             workers: Arc::clone(&self.workers),
             numa_domains: self.cfg.platform.numa_domains(),
             rings: Arc::clone(&self.rings),
-            transfer_gate: Arc::clone(&self.transfer_gate),
-            origin,
         });
         let mut feed = IterationFeed::new(
             Arc::clone(&ctx),
@@ -322,10 +302,13 @@ impl HybridTrainer {
         let mut trace = Vec::with_capacity(functional_iters);
         let mut last_loss = f32::NAN;
         let mut last_acc = 0.0f32;
-        // Propagation windows (relative to `origin`) of completed
-        // iterations: a later batch's transfer span intersected with
-        // these is exactly the wire time the rings hid behind compute.
-        let mut train_windows: Vec<(f64, f64)> = Vec::with_capacity(functional_iters);
+        // Accelerator trainers' host numerics stand in for device
+        // compute: they run at width 1, so the accelerator trainer
+        // threads do not each spawn nested kernel threads (whose
+        // per-thread malloc arenas grow the heap epoch over epoch). The
+        // kernels give the same bits at any width; the CPU trainer keeps
+        // the DRM's trainer pool.
+        let device = rayon::WorkerGroup::new("accelerator", 1);
 
         for iter in 0..functional_iters {
             let iter_wall = Instant::now();
@@ -336,8 +319,9 @@ impl HybridTrainer {
             let (salvaged0, flushed0) = feed.salvage_stats();
             let invalidation0 = feed.invalidation_wall_s();
             let quotas = self.split.quotas();
-            // Sampling + Feature Loading + wire round-trip: prepared
-            // inline at depth 0, received from the producer otherwise.
+            // Sampling + Feature Loading (accelerator batches at wire
+            // precision): prepared inline at depth 0, received from the
+            // producer otherwise.
             let Some(prepared) = feed.obtain(iter, &quotas) else {
                 break; // epoch seeds exhausted
             };
@@ -347,11 +331,6 @@ impl HybridTrainer {
                 features,
                 sample_wall_s,
                 load_wall_s,
-                transfer_wall_s,
-                transfer_span,
-                lane_transfer_walls,
-                lane_transfer_spans,
-                transfer_lanes,
                 slots,
                 threads: observed_threads,
                 ..
@@ -376,7 +355,6 @@ impl HybridTrainer {
 
             // --- GNN Propagation under the training protocol ---
             let train_wall = Instant::now();
-            let train_window_start = origin.elapsed().as_secs_f64();
             let labels_of = |seeds: &[u32]| -> Vec<u32> {
                 seeds
                     .iter()
@@ -398,6 +376,7 @@ impl HybridTrainer {
             let model = &self.model;
             let sync = &self.sync;
             let workers = &self.workers;
+            let device = &device;
             let hybrid = self.cfg.opt.hybrid;
             let mut results: Vec<(usize, f32, f32, usize)> = Vec::with_capacity(work.len());
             let mut averaged: Option<Arc<Gradients>> = None;
@@ -409,15 +388,14 @@ impl HybridTrainer {
                         let round = Arc::clone(&round);
                         scope.spawn(move || {
                             // The CPU trainer's kernels run under the
-                            // trainer pool's width; accelerator trainers
-                            // are simulated and keep the default.
-                            let out = if hybrid && *idx == 0 {
-                                workers
-                                    .trainer()
-                                    .install(|| model.train_step(mb, x, labels))
+                            // trainer pool's width, accelerator trainers
+                            // at width 1.
+                            let group = if hybrid && *idx == 0 {
+                                workers.trainer()
                             } else {
-                                model.train_step(mb, x, labels)
+                                device
                             };
+                            let out = group.install(|| model.train_step(mb, x, labels));
                             let batch = labels.len();
                             let loss = out.loss;
                             let acc = out.accuracy;
@@ -441,35 +419,6 @@ impl HybridTrainer {
             self.model
                 .apply_gradients(&averaged, self.optimizer.as_mut());
             let train_wall_s = train_wall.elapsed().as_secs_f64();
-            let train_window_end = origin.elapsed().as_secs_f64();
-
-            // How much of each lane's wire round-trip ran while we were
-            // inside the propagation of an earlier batch — the transfer
-            // time that lane's staging ring hid. Serial execution
-            // transfers inline between propagations, so this is
-            // naturally zero. Transfer spans are stamped in iteration
-            // order, so a window that ended before the union span began
-            // can never overlap a later span either — pruning keeps the
-            // scan O(in-flight), not O(epoch).
-            train_windows.retain(|&(_, e)| e > transfer_span.0);
-            let lane_transfer_hidden_s: Vec<f64> = lane_transfer_spans
-                .iter()
-                .zip(&lane_transfer_walls)
-                .map(|(span, &wall)| {
-                    span.map_or(0.0, |(s0, s1)| {
-                        train_windows
-                            .iter()
-                            .map(|&(s, e)| (s1.min(e) - s0.max(s)).max(0.0))
-                            .sum::<f64>()
-                            .min(wall)
-                    })
-                })
-                .collect();
-            let transfer_hidden_s = lane_transfer_hidden_s
-                .iter()
-                .sum::<f64>()
-                .min(transfer_wall_s);
-            train_windows.push((train_window_start, train_window_end));
 
             // Feature matrices go back for reuse — accelerator batches
             // to their lane's staging-ring free list, the CPU batch to
@@ -477,14 +426,11 @@ impl HybridTrainer {
             // fresh ones.
             for (idx, m) in features.into_iter().enumerate() {
                 if let Some(m) = m {
-                    match ctx.accel_of(idx) {
-                        Some(a) => self.rings.ring(a).put_buffer(m),
-                        None => self.pool.release(m),
-                    }
+                    ctx.release_buffer(idx, m, &self.pool);
                 }
             }
             // Propagation done: free this batch's staging slots so the
-            // transfer stage can ship the next batch into them.
+            // producer can stage the next batch into them.
             drop(slots);
 
             let total_seeds: usize = results.iter().map(|r| r.3).sum();
@@ -595,11 +541,6 @@ impl HybridTrainer {
                 wall: WallStageTimes {
                     sample_s: sample_wall_s,
                     load_s: load_wall_s,
-                    transfer_s: transfer_wall_s,
-                    transfer_hidden_s,
-                    transfer_lanes,
-                    lane_transfer_s: lane_transfer_walls,
-                    lane_transfer_hidden_s,
                     train_s: train_wall_s,
                     iter_s: iter_wall.elapsed().as_secs_f64(),
                     batches_salvaged: salvaged - salvaged0,
@@ -681,7 +622,6 @@ mod tests {
                 transfer_precision: hyscale_tensor::Precision::F32,
                 prefetch_depth: 0,
                 staging_ring_depth: 2,
-                transfer_lanes: 0,
             },
         }
     }
@@ -781,11 +721,6 @@ mod tests {
             r.trace.iter().all(|it| it.wall.iter_s > 0.0),
             "iteration wall unmeasured"
         );
-        // measured hidden transfer time never exceeds measured transfer
-        assert!(r
-            .trace
-            .iter()
-            .all(|it| it.wall.transfer_hidden_s <= it.wall.transfer_s + 1e-12));
         // buffers are primed for the next epoch: the CPU batch back in
         // the shared pool, accelerator batches on their lanes' rings
         assert!(
@@ -798,20 +733,6 @@ mod tests {
             (0..t.rings().num_rings()).any(|a| t.rings().ring(a).take_buffer().is_some()),
             "no lane-local buffer was recycled to a staging ring"
         );
-    }
-
-    #[test]
-    fn serial_execution_hides_no_transfer_time() {
-        let ds = Dataset::toy(23);
-        let mut cfg = toy_config(OptFlags::full());
-        cfg.train.prefetch_depth = 0;
-        let mut t = HybridTrainer::new(cfg, ds);
-        let r = t.train_epoch();
-        assert!(
-            r.trace.iter().all(|it| it.wall.transfer_hidden_s == 0.0),
-            "serial iterations transfer inline between propagations"
-        );
-        assert_eq!(r.wall_stages.transfer_overlap_ratio(), 0.0);
     }
 
     #[test]

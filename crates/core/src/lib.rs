@@ -20,14 +20,15 @@
 //!   pools (sampler / loader / trainer) through which DRM
 //!   `balance_thread` decisions steer the *real* pipeline.
 //! * [`prefetch`] — Task-level Feature Prefetching as a *real*
-//!   pipeline (paper §IV-B): a background producer samples (under the
-//!   sampler pool), NUMA-shards feature gathers across socket domains
-//!   and fans per-trainer matrices out over loader lanes, and a
-//!   dedicated transfer stage precision-round-trips iterations through
-//!   per-accelerator [`prefetch::StagingRing`]s into a bounded queue
-//!   overlapped with GNN propagation — double-buffered wire transfer,
-//!   pool-recycled buffers, DRM-aware queue + ring invalidation,
-//!   bitwise-identical to serial execution.
+//!   pipeline (paper §IV-B): one background producer thread samples
+//!   (under the sampler pool), NUMA-shards feature gathers across socket
+//!   domains — accelerator batches straight from the wire-precision
+//!   feature view — fans per-trainer matrices out over loader lanes, and
+//!   stages each iteration through per-accelerator
+//!   [`prefetch::StagingRing`]s into a bounded queue overlapped with GNN
+//!   propagation — double-buffered staging, pool-recycled buffers,
+//!   DRM-aware queue + ring invalidation, bitwise-identical to serial
+//!   execution.
 //! * [`executor`] — the hybrid trainer: 4-stage pipeline (Sampling →
 //!   Feature Loading → Data Transfer → GNN Propagation) with Two-stage
 //!   Feature Prefetching (paper §IV-B), functional training plus
@@ -58,7 +59,6 @@ pub use executor::HybridTrainer;
 pub use perf_model::PerfModel;
 pub use prefetch::{
     IterationFeed, MatrixPool, PrepareCtx, PreparedIteration, SlotToken, StagingRing, StagingRings,
-    TransferLaneGate,
 };
 pub use report::{EpochReport, IterationReport, WallStageTimes};
 pub use stages::{StageTimes, StageWorkers};

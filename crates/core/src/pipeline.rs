@@ -41,12 +41,14 @@ impl PipelineStageCosts {
     /// times (see [`crate::report::WallStageTimes`]). This lets the
     /// discrete-event simulator predict what the real prefetching
     /// executor should achieve at a given depth — the bench harness
-    /// compares that prediction against the measured epoch wall.
+    /// compares that prediction against the measured epoch wall. The
+    /// transfer stage costs no host time: accelerator batches are
+    /// gathered from the wire-precision feature view.
     pub fn from_wall(w: &crate::report::WallStageTimes) -> Self {
         Self {
             sample: w.sample_s,
             load: w.load_s,
-            transfer: w.transfer_s,
+            transfer: 0.0,
             propagate: w.train_s,
         }
     }
@@ -222,10 +224,10 @@ pub fn simulate_pipeline_ringed_flushed(
 
 /// [`simulate_pipeline_ringed`] with the Data Transfer stage split into
 /// per-accelerator *lanes*: `lane_transfer[a]` is accelerator `a`'s wire
-/// time per iteration, and up to `concurrent_lanes` lanes run their
-/// round-trips concurrently. The real producer's lane cap is a
-/// *work-conserving* counting semaphore (`TransferLaneGate`): any idle
-/// slot picks up any waiting round-trip, so the stage's per-iteration
+/// time per iteration, and up to `concurrent_lanes` links transfer
+/// concurrently. The cap is modeled as a *work-conserving* counting
+/// semaphore: any idle link picks up any waiting transfer, so the
+/// stage's per-iteration
 /// occupancy is modeled as the work-conserving makespan bound
 /// `max(longest lane, Σ lanes / cap)` — monotone non-increasing in the
 /// cap, unlike any static lane→thread partition (which can *regress*
@@ -494,15 +496,14 @@ mod tests {
         let w = crate::report::WallStageTimes {
             sample_s: 0.5,
             load_s: 1.5,
-            transfer_s: 0.25,
             train_s: 2.0,
-            iter_s: 4.25,
+            iter_s: 4.0,
             ..Default::default()
         };
         let c = PipelineStageCosts::from_wall(&w);
         assert_eq!(c.sample, 0.5);
         assert_eq!(c.load, 1.5);
-        assert_eq!(c.transfer, 0.25);
+        assert_eq!(c.transfer, 0.0);
         assert_eq!(c.propagate, 2.0);
         assert!((c.serial() - w.serial_sum()).abs() < 1e-12);
     }

@@ -1,40 +1,35 @@
 //! Task-level Feature Prefetching — the *real* pipeline.
 //!
 //! The paper's headline optimization (§IV-B, Fig. 7) overlaps the
-//! CPU-side producer stages — Mini-batch Sampling, Feature Loading, and
-//! the wire-precision round-trip standing in for Data Transfer — with
-//! GNN Propagation. [`crate::pipeline`] *simulates* that overlap with a
+//! CPU-side producer stages — Mini-batch Sampling and Feature Loading,
+//! whose accelerator batches arrive at wire precision — with GNN
+//! Propagation. [`crate::pipeline`] *simulates* that overlap with a
 //! discrete-event model; this module *executes* it: a background
 //! producer walks the epoch's batch plan, prepares iterations, and
 //! feeds them through a bounded channel of depth `d`
 //! (`TrainConfig::prefetch_depth`) to the consuming trainer.
 //!
-//! ## Concurrent per-accelerator transfer lanes (staging rings)
+//! ## One producer thread, staging rings, and the wire view
 //!
-//! The producer is itself a pipeline. A *gather* thread samples and
-//! NUMA-gathers features, then fans each accelerator's matrix out to
-//! that accelerator's **transfer lane** — a dedicated thread that pulls
-//! gathered batches from its own bounded channel, stages them through
-//! its [`StagingRing`], and runs the wire-precision round-trip. Lanes
-//! run *concurrently with each other* (DistDGLv2/HitGNN-style per-link
-//! saturation: with 4 accelerators the four round-trips overlap each
-//! other as well as trainer compute), bounded WorkerGroup-style by the
-//! shared [`TransferLaneGate`] (resized live by DRM `balance_thread`
-//! moves). An *assembler* thread re-joins the lanes' completions, in
-//! lane-FIFO order, into [`PreparedIteration`]s for the consumer queue.
+//! The producer is one thread: **sample → gather → take staging slots
+//! → queue**. Accelerator trainers' feature rows are gathered straight
+//! from the accelerator-side feature view ([`PrepareCtx::accel_features`],
+//! a [`WireFeatures`] built once per trainer in `HybridTrainer::new`),
+//! so a gathered accelerator batch already holds the wire-precision
+//! values the §VIII quantized transfer would deliver; the CPU trainer
+//! gathers from host memory. The round-trip commutes with the gather
+//! bit for bit (see `hyscale_tensor::quant`), so no per-iteration wire
+//! work is left on the host.
 //!
-//! Each lane's [`StagingRing`] holds `TrainConfig::staging_ring_depth`
-//! slots: a slot is occupied from the start of a batch's round-trip
-//! until its propagation completes (the consumer drops the batch's
-//! [`SlotToken`]s after training), so at ring depth 2 the wire transfer
-//! of batch `i+1` overlaps the accelerator compute of batch `i` —
-//! double buffering *within* the lane, not only across the
-//! producer/consumer queue. Ring depth 1 is a single staging buffer:
-//! that lane's transfer and compute serialize, exactly like the
+//! Each accelerator owns a [`StagingRing`] of
+//! `TrainConfig::staging_ring_depth` slots. After gathering an
+//! iteration the producer takes one slot per accelerator batch, and the
+//! consumer frees it by dropping the batch's [`SlotToken`] after
+//! propagation. At ring depth 2 the producer can stage batch `i+1`
+//! while batch `i` computes (double buffering); at ring depth 1 it
+//! waits for batch `i`'s propagation first, exactly like the
 //! `ring_depth = 1` case of `hyscale_device::stage::StagingModel` and
-//! [`crate::pipeline::simulate_pipeline_ringed`]. The lane-concurrency
-//! dimension is modeled by
-//! [`crate::pipeline::simulate_pipeline_multilane`].
+//! [`crate::pipeline::simulate_pipeline_ringed`].
 //!
 //! ## Determinism contract
 //!
@@ -44,7 +39,7 @@
 //! sampler draw is keyed by `(seed, epoch, iter, trainer)` streams, so a
 //! batch prepared three iterations ahead on a worker thread is
 //! bitwise-identical to one prepared inline, and staging rings only
-//! re-time the round-trip (which is itself deterministic per matrix).
+//! re-time when a prepared batch is handed over.
 //! The one hazard is the DRM engine re-balancing `quotas` mid-epoch:
 //! prepared iterations carry the quotas *and the quota epoch* (re-map
 //! generation counter) they were built under, so a straggler from an
@@ -54,20 +49,22 @@
 //! folded into one re-slice against the final quotas, which re-slices
 //! only the trainers whose seed slice actually moved — settled
 //! trainers keep their queued batches, pooled matrices, and staging
-//! slots — and drains only the rings *and lane channels* of changed
-//! lanes; a zero-diff re-map (including a burst that cancels out) is a
-//! no-op, and only missed-event recovery pays the full flush
-//! (`drain_all`). `tests/equivalence.rs` and the randomized
-//! DRM-schedule harness in `tests/proptest_invariants.rs` pin weights
-//! bitwise across prefetch depths {0, 1, 2, 4} × ring depths {1, 2} ×
-//! transfer-lane caps {1, 2, 4} including across re-mapping events.
+//! slots — and drains only the rings of changed lanes; a zero-diff
+//! re-map (including a burst that cancels out) is a no-op, and only
+//! missed-event recovery pays the full flush (`drain_all`).
+//! `tests/equivalence.rs` and the randomized DRM-schedule harness in
+//! `tests/proptest_invariants.rs` pin weights bitwise across prefetch
+//! depths {0, 1, 2, 4} × ring depths {1, 2} × wire precisions
+//! {F32, Int8}, including across re-mapping events.
 //!
 //! ## Allocation discipline
 //!
 //! Feature matrices cycle through a [`MatrixPool`], with ring-aware
-//! reuse on top: a recycled accelerator batch returns its buffer to that
-//! accelerator's [`StagingRing`] free list, so each lane re-gathers into
-//! the buffer it last shipped (lane-local reuse); the shared pool is the
+//! reuse on top: a recycled accelerator batch — after propagation, or
+//! discarded by a re-map or teardown — returns its buffer to that
+//! accelerator's [`StagingRing`] free list, so each accelerator
+//! re-gathers into the buffer it last used (lane-local reuse) and no
+//! buffer grows to another role's batch size; the shared pool is the
 //! fallback and serves the CPU trainer. Steady-state iterations perform
 //! zero feature-matrix allocations.
 //!
@@ -81,16 +78,17 @@
 //! the feature matrix's NUMA row domains. A DRM `balance_thread` move
 //! re-sizes the pools in place ([`IterationFeed::rebalance_threads`]);
 //! widths only change wall-clock, so the queue keeps its prepared
-//! iterations, staging rings keep their in-flight transfers, and each
+//! iterations, staging rings keep their occupied slots, and each
 //! [`PreparedIteration`] records the [`ThreadAlloc`] it was built under
 //! so traces show the shift land.
 
 use crate::drm::{QuotaDiff, ThreadAlloc};
 use crate::stages::StageWorkers;
-use hyscale_graph::features::gather_features_numa_into;
+use hyscale_graph::features::gather_wire_numa_into;
 use hyscale_graph::Dataset;
 use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler};
-use hyscale_tensor::{Matrix, Precision};
+use hyscale_tensor::quant::WireFeatures;
+use hyscale_tensor::Matrix;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -100,7 +98,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// A recycling pool of feature-matrix buffers shared between the
-/// producer threads and the consuming trainer.
+/// producer thread and the consuming trainer.
 ///
 /// ```
 /// use hyscale_core::MatrixPool;
@@ -144,144 +142,15 @@ impl MatrixPool {
     }
 }
 
-/// WorkerGroup-style concurrency cap for the per-accelerator transfer
-/// lanes: every accelerator owns a dedicated lane (thread + staging
-/// ring + bounded channel), and this gate bounds how many of those
-/// lanes may run their wire-precision round-trips *at the same time*.
-///
-/// Like [`rayon::WorkerGroup`], the **logical** cap is resizable at any
-/// moment ([`set_cap`](Self::set_cap) — the entry point for DRM
-/// `balance_thread` moves, which re-size lane concurrency live without
-/// draining anything), while the **effective** cap is additionally
-/// bounded by the host's real parallelism. Lane order through the gate
-/// is timing-only: round-trips are deterministic per matrix, so the cap
-/// changes wall-clock, never bytes.
-///
-/// ```
-/// use hyscale_core::prefetch::TransferLaneGate;
-/// use std::sync::atomic::AtomicBool;
-///
-/// // the effective cap is host-bounded: pretend this doctest machine
-/// // has 4 cores so two lanes may genuinely overlap
-/// std::env::set_var("HYSCALE_RAYON_THREADS", "4");
-/// let gate = TransferLaneGate::new(2, false);
-/// let stop = AtomicBool::new(false);
-/// assert!(gate.enter(&stop));          // lane 0 transfers
-/// assert!(gate.enter(&stop));          // lane 1 overlaps it
-/// assert_eq!(gate.in_flight(), 2);
-/// gate.set_cap(4);                     // balance_thread widens the budget
-/// assert_eq!(gate.cap(), 4);
-/// gate.exit();
-/// gate.exit();
-/// assert_eq!(gate.in_flight(), 0);
-/// std::env::remove_var("HYSCALE_RAYON_THREADS");
-/// ```
-pub struct TransferLaneGate {
-    cap: AtomicUsize,
-    /// `true` when the cap mirrors the DRM loader thread budget (the
-    /// `TrainConfig::transfer_lanes = 0` auto mode): `balance_thread`
-    /// moves then re-size it; a fixed explicit cap ignores them.
-    follow_threads: bool,
-    in_flight: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl TransferLaneGate {
-    /// A gate admitting `cap` concurrent lane round-trips (clamped
-    /// ≥ 1). `follow_threads` marks the cap as mirroring the DRM's
-    /// loader thread budget (see [`on_thread_alloc`](Self::on_thread_alloc)).
-    pub fn new(cap: usize, follow_threads: bool) -> Self {
-        Self {
-            cap: AtomicUsize::new(cap.max(1)),
-            follow_threads,
-            in_flight: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Current logical cap.
-    pub fn cap(&self) -> usize {
-        self.cap.load(Ordering::Acquire)
-    }
-
-    /// Lanes inside the gate right now.
-    pub fn in_flight(&self) -> usize {
-        *self.in_flight.lock()
-    }
-
-    /// Concurrency a round of transfers can actually achieve: the
-    /// logical cap bounded by the host's real parallelism.
-    pub fn effective_cap(&self) -> usize {
-        self.cap().min(rayon::host_threads()).max(1)
-    }
-
-    /// Re-size the logical cap live (clamped ≥ 1) and wake waiting
-    /// lanes so a widened gate is observed immediately. Drains nothing:
-    /// in-flight round-trips, staged batches, and queued iterations all
-    /// stay valid — lane concurrency is pure wall-clock. The notify
-    /// runs under the gate mutex so it cannot be lost between a
-    /// waiter's cap check and its park.
-    pub fn set_cap(&self, cap: usize) {
-        self.cap.store(cap.max(1), Ordering::Release);
-        let _guard = self.in_flight.lock();
-        self.cv.notify_all();
-    }
-
-    /// Apply a DRM [`ThreadAlloc`]: in auto mode the lane cap follows
-    /// the loader budget (the transfer stage is the loader-adjacent
-    /// wire stage); a fixed cap is left untouched.
-    pub fn on_thread_alloc(&self, alloc: &ThreadAlloc) {
-        if self.follow_threads {
-            self.set_cap(alloc.loader);
-        }
-    }
-
-    /// Enter the gate, blocking while `effective_cap` lanes are already
-    /// transferring. Returns `false` (without entering) once `stop`
-    /// rises — a lane being shut down must not wedge on a slot that
-    /// will never free.
-    pub fn enter(&self, stop: &AtomicBool) -> bool {
-        let mut busy = self.in_flight.lock();
-        loop {
-            if stop.load(Ordering::Acquire) {
-                return false;
-            }
-            if *busy < self.effective_cap() {
-                *busy += 1;
-                return true;
-            }
-            self.cv.wait(&mut busy);
-        }
-    }
-
-    /// Leave the gate, waking one waiting lane.
-    pub fn exit(&self) {
-        {
-            let mut busy = self.in_flight.lock();
-            *busy = busy.saturating_sub(1);
-        }
-        self.cv.notify_all();
-    }
-
-    /// Wake every waiter so it can observe a raised stop flag (under
-    /// the gate mutex — see [`set_cap`](Self::set_cap) for why an
-    /// unlocked notify could be lost).
-    fn interrupt(&self) {
-        let _guard = self.in_flight.lock();
-        self.cv.notify_all();
-    }
-}
-
 /// One accelerator's device-side staging buffer, modeled as a bounded
 /// slot counter plus a lane-local free list of recycled feature buffers.
 ///
-/// A slot is *occupied* from the moment the producer's transfer stage
-/// starts a batch's wire-precision round-trip until the consumer
-/// finishes that batch's propagation (and drops its [`SlotToken`]).
-/// With `depth = 2` the ring is a classic double buffer: while the
-/// accelerator computes on batch `i`'s slot, the transfer of batch
-/// `i+1` proceeds into the second slot. With `depth = 1` there is
-/// nowhere to stage ahead, so transfer and compute serialize.
+/// A slot is *occupied* from the moment the producer stages a gathered
+/// batch until the consumer finishes that batch's propagation (and
+/// drops its [`SlotToken`]). With `depth = 2` the ring is a classic
+/// double buffer: while the accelerator computes on batch `i`'s slot,
+/// batch `i+1` is staged into the second slot. With `depth = 1` there
+/// is nowhere to stage ahead, so staging and compute serialize.
 ///
 /// ```
 /// use hyscale_core::prefetch::StagingRing;
@@ -289,8 +158,8 @@ impl TransferLaneGate {
 ///
 /// let ring = StagingRing::new(2);           // double buffer
 /// let stop = AtomicBool::new(false);
-/// assert!(ring.acquire(&stop));             // transfer of batch i starts
-/// assert!(ring.acquire(&stop));             // transfer of batch i+1 overlaps
+/// assert!(ring.acquire(&stop));             // batch i staged
+/// assert!(ring.acquire(&stop));             // batch i+1 staged while i computes
 /// assert_eq!(ring.in_flight(), 2);
 /// stop.store(true, Ordering::Release);
 /// assert!(!ring.acquire(&stop));            // full ring + stop: refuse, don't block
@@ -302,7 +171,6 @@ pub struct StagingRing {
     state: Mutex<RingState>,
     cv: Condvar,
     drains: AtomicUsize,
-    channel_drains: AtomicUsize,
 }
 
 #[derive(Default)]
@@ -319,7 +187,6 @@ impl StagingRing {
             state: Mutex::new(RingState::default()),
             cv: Condvar::new(),
             drains: AtomicUsize::new(0),
-            channel_drains: AtomicUsize::new(0),
         }
     }
 
@@ -328,7 +195,7 @@ impl StagingRing {
         self.depth
     }
 
-    /// Slots currently occupied by a batch in transfer or in compute.
+    /// Slots currently occupied by a staged or computing batch.
     pub fn in_flight(&self) -> usize {
         self.state.lock().in_flight
     }
@@ -336,21 +203,6 @@ impl StagingRing {
     /// Times this ring has been drained by a DRM re-mapping event.
     pub fn drains(&self) -> usize {
         self.drains.load(Ordering::Relaxed)
-    }
-
-    /// Times this lane's bounded transfer *channel* (the gather-stage →
-    /// lane-thread queue) has been **charged** a drain by a DRM
-    /// re-mapping event. Like [`drains`](Self::drains) this is surgical
-    /// accounting: only lanes whose quota share moved record the event.
-    /// Note the charge records *whose data the re-map invalidated*, not
-    /// which channels physically emptied — a re-slice restarts the
-    /// producer generation, so gathered-but-untransferred channel work
-    /// of every lane is recycled and deterministically re-gathered;
-    /// what untouched lanes keep across the re-map is their share of
-    /// the fully-prepared consumer-queue iterations (batch, buffer,
-    /// staging slot — see `reslice_iteration`).
-    pub fn channel_drains(&self) -> usize {
-        self.channel_drains.load(Ordering::Relaxed)
     }
 
     /// Occupy a slot, blocking while the ring is full. Returns `false`
@@ -385,8 +237,8 @@ impl StagingRing {
         }
     }
 
-    /// Free a slot (the batch's propagation completed, or its transfer
-    /// was abandoned) and wake any transfer blocked on a full ring.
+    /// Free a slot (the batch's propagation completed, or it was
+    /// abandoned) and wake a producer blocked on a full ring.
     pub fn release_slot(&self) {
         {
             let mut st = self.state.lock();
@@ -405,7 +257,7 @@ impl StagingRing {
         self.state.lock().free.push(m);
     }
 
-    /// Record a DRM drain event (the staged transfers this lane held
+    /// Record a DRM drain event (the staged batches this lane held
     /// were discarded or re-sliced by a re-mapping that moved this
     /// lane's share). Buffers stay on the free list — a drain
     /// invalidates *contents*, not allocations.
@@ -414,17 +266,12 @@ impl StagingRing {
         self.interrupt();
     }
 
-    /// Record a DRM drain of this lane's transfer channel.
-    fn drain_channel(&self) {
-        self.channel_drains.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Wake any waiter so it can observe a raised stop flag. The notify
     /// happens *under the state mutex*: `acquire` checks the stop flag
     /// and parks while holding that lock, so an unlocked notify could
-    /// slot between its check and its park and be lost — leaving a lane
-    /// asleep on a ring whose slots will never free (the shutdown path
-    /// joins that very lane).
+    /// slot between its check and its park and be lost — leaving the
+    /// producer asleep on a ring whose slots will never free (the
+    /// shutdown path joins that very thread).
     fn interrupt(&self) {
         let _guard = self.state.lock();
         self.cv.notify_all();
@@ -432,7 +279,7 @@ impl StagingRing {
 }
 
 /// The per-accelerator staging rings of one trainer instance (shared by
-/// the producer's transfer stage, the executor, and the DRM drain path).
+/// the producer, the executor, and the DRM drain path).
 pub struct StagingRings {
     rings: Vec<StagingRing>,
     depth: usize,
@@ -478,11 +325,6 @@ impl StagingRings {
         self.rings.iter().map(StagingRing::drains).sum()
     }
 
-    /// Total DRM lane-channel drain events across all rings.
-    pub fn channel_drains_total(&self) -> usize {
-        self.rings.iter().map(StagingRing::channel_drains).sum()
-    }
-
     /// Record a full re-map drain on every ring. This survives only for
     /// `set_mapping`-style full re-maps (and the missed-event recovery
     /// path): a surgical `balance_work` drains per lane via
@@ -490,19 +332,16 @@ impl StagingRings {
     pub(crate) fn drain_all(&self) {
         for r in &self.rings {
             r.drain();
-            r.drain_channel();
         }
     }
 
     /// Record a DRM `balance_work` drain on exactly the lanes whose
     /// quota share moved (`mask[a]` true). Untouched lanes keep their
-    /// drain count — the pinned "surgical" invariant. The drain covers
-    /// both the lane's staging ring and its transfer channel.
+    /// drain count — the pinned "surgical" invariant.
     pub(crate) fn drain_lanes(&self, mask: &[bool]) {
         for (r, &changed) in self.rings.iter().zip(mask) {
             if changed {
                 r.drain();
-                r.drain_channel();
             }
         }
     }
@@ -542,9 +381,9 @@ impl StagingRings {
     }
 }
 
-/// RAII occupancy of one staging slot: held from the start of a batch's
-/// wire round-trip until the batch's propagation completes; dropping the
-/// token frees the slot and wakes the transfer stage.
+/// RAII occupancy of one staging slot: held from the moment a batch is
+/// staged until its propagation completes; dropping the token frees the
+/// slot and wakes the producer.
 pub struct SlotToken {
     rings: Arc<StagingRings>,
     accel: usize,
@@ -572,10 +411,12 @@ pub struct PrepareCtx {
     pub batcher: EpochBatcher,
     /// Seeded neighbor sampler (streams keyed per (epoch, iter, trainer)).
     pub sampler: NeighborSampler,
-    /// Wire precision applied to accelerator-bound feature matrices.
-    pub precision: Precision,
+    /// The accelerator-side feature view: the dataset's feature matrix
+    /// at the wire precision, built once per trainer. Accelerator
+    /// batches are gathered from it; the CPU trainer reads host memory.
+    pub accel_features: Arc<WireFeatures>,
     /// Whether trainer 0 is the CPU trainer (reads host memory directly,
-    /// skipping the precision round-trip).
+    /// not the wire view).
     pub hybrid: bool,
     /// Live worker pools whose widths mirror the DRM's [`ThreadAlloc`].
     /// Shared with the executor: a `balance_thread` move re-sizes these
@@ -588,25 +429,16 @@ pub struct PrepareCtx {
     /// socket's share of the loader pool, weighted by the sampled rows'
     /// ownership histogram.
     pub numa_domains: usize,
-    /// Per-accelerator staging rings gating the transfer stage (shared
-    /// with the executor, which releases slots after propagation).
+    /// Per-accelerator staging rings: the producer takes a slot per
+    /// accelerator batch, the executor frees it after propagation.
     pub rings: Arc<StagingRings>,
-    /// Concurrency cap for the per-accelerator transfer lanes (shared
-    /// with the executor; a DRM `balance_thread` move re-sizes it live
-    /// via [`TransferLaneGate::on_thread_alloc`]).
-    pub transfer_gate: Arc<TransferLaneGate>,
-    /// Epoch time origin: transfer spans and propagation windows are
-    /// recorded relative to this instant so the executor can measure how
-    /// much wire time the rings hid behind compute.
-    pub origin: Instant,
 }
 
 impl PrepareCtx {
     /// Accelerator (staging-ring) index serving trainer `trainer_idx`,
     /// or `None` for the CPU trainer (which, when hybrid, occupies
     /// trainer index 0 and never stages). The single source of truth
-    /// for the trainer→lane mapping — the executor returns buffers to
-    /// rings through this too.
+    /// for the trainer→lane mapping.
     pub(crate) fn accel_of(&self, trainer_idx: usize) -> Option<usize> {
         let offset = usize::from(self.hybrid);
         if trainer_idx >= offset && trainer_idx - offset < self.rings.num_rings() {
@@ -616,27 +448,65 @@ impl PrepareCtx {
         }
     }
 
-    /// Inverse of [`accel_of`](Self::accel_of): the trainer index served
-    /// by accelerator lane `a`.
-    pub(crate) fn trainer_of(&self, a: usize) -> usize {
-        a + usize::from(self.hybrid)
+    /// Gather each job `(trainer, input nodes, buffer)` into its buffer,
+    /// fanned out across loader lanes (one per trainer matrix, up to the
+    /// pool's width), each lane's gather sharded across the NUMA row
+    /// domains of `X` with thread shares weighted by the rows'
+    /// ownership histogram. Accelerator trainers read the wire view and
+    /// the CPU trainer reads host memory, so accelerator batches arrive
+    /// already at wire precision — bitwise what gathering and then
+    /// round-tripping would give. Returns `(trainer, matrix)` pairs.
+    fn gather_all(&self, jobs: Vec<(usize, &[u32], Matrix)>) -> Vec<(usize, Matrix)> {
+        let host = &self.dataset.data.features;
+        let jobs: Vec<_> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        let gathered = Mutex::new(Vec::with_capacity(jobs.len()));
+        self.workers.loader().fan_out(jobs.len(), |k, lane| {
+            let (idx, nodes, mut x) = jobs[k].lock().take().expect("each job runs once");
+            let wire = match self.accel_of(idx) {
+                Some(_) => self.accel_features.as_ref(),
+                None => &WireFeatures::Host,
+            };
+            gather_wire_numa_into(&mut x, wire, host, nodes, self.numa_domains, lane);
+            gathered.lock().push((idx, x));
+        });
+        gathered.into_inner()
     }
 
-    /// Concurrent transfer lanes a full round of accelerator round-trips
-    /// can achieve right now: one lane per ring, capped by the live
-    /// transfer-gate budget.
-    pub(crate) fn transfer_lanes(&self) -> usize {
-        self.transfer_gate
-            .effective_cap()
-            .min(self.rings.num_rings())
-            .max(1)
+    /// Return trainer `idx`'s feature buffer for reuse: an accelerator's
+    /// to its ring's free list, the CPU trainer's to the shared pool. A
+    /// buffer thus keeps serving one trainer role, and its capacity stays
+    /// that role's size instead of growing to the largest batch any role
+    /// has seen.
+    pub(crate) fn release_buffer(&self, idx: usize, m: Matrix, pool: &MatrixPool) {
+        match self.accel_of(idx) {
+            Some(a) => self.rings.ring(a).put_buffer(m),
+            None => pool.release(m),
+        }
+    }
+
+    /// Discard an iteration: its buffers go back through
+    /// [`release_buffer`](Self::release_buffer), its slots free on drop.
+    fn recycle(&self, prep: PreparedIteration, pool: &MatrixPool) {
+        for (idx, m) in prep.features.into_iter().enumerate() {
+            if let Some(m) = m {
+                self.release_buffer(idx, m, pool);
+            }
+        }
+    }
+
+    /// A pooled buffer for trainer `idx`: its accelerator's ring free
+    /// list first (lane-local reuse), then the shared pool.
+    fn buffer(&self, idx: usize, pool: &MatrixPool) -> Matrix {
+        self.accel_of(idx)
+            .and_then(|a| self.rings.ring(a).take_buffer())
+            .unwrap_or_else(|| pool.acquire())
     }
 }
 
 /// One fully-prepared training iteration: sampled mini-batches plus
-/// gathered (and precision-round-tripped) feature matrices, with the
-/// producer-side wall-clock stage timings and the staging slots the
-/// batch still occupies.
+/// gathered feature matrices (accelerator batches at wire precision),
+/// with the producer-side wall-clock stage timings and the staging
+/// slots the batch still occupies.
 pub struct PreparedIteration {
     /// Iteration index within the epoch.
     pub iter: usize,
@@ -660,26 +530,6 @@ pub struct PreparedIteration {
     pub sample_wall_s: f64,
     /// Wall-clock seconds of the loader fan-out (feature gathering).
     pub load_wall_s: f64,
-    /// Wall-clock seconds of the precision round-trip (the functional
-    /// stand-in for the PCIe transfer): the *aggregate* wire work, i.e.
-    /// the sum over [`lane_transfer_walls`](Self::lane_transfer_walls).
-    pub transfer_wall_s: f64,
-    /// `(start, end)` of the round-trip relative to the epoch origin
-    /// ([`PrepareCtx::origin`]) — the union over every lane's span: the
-    /// executor intersects this with its propagation windows to measure
-    /// the wire time the staging rings hid behind accelerator compute.
-    pub transfer_span: (f64, f64),
-    /// Per-accelerator-lane round-trip wall seconds (index = ring
-    /// index; `0.0` for lanes that shipped nothing this iteration).
-    pub lane_transfer_walls: Vec<f64>,
-    /// Per-lane `(start, end)` transfer spans against the epoch origin
-    /// (`None` for idle lanes) — the per-lane twin of
-    /// [`transfer_span`](Self::transfer_span), from which the executor
-    /// measures per-lane hidden-transfer time.
-    pub lane_transfer_spans: Vec<Option<(f64, f64)>>,
-    /// Concurrent transfer lanes this iteration's round-trips ran under
-    /// (`1` for inline serial preparation).
-    pub transfer_lanes: usize,
     /// Staging slots this batch occupies, one per accelerator batch —
     /// released (by drop) when the consumer finishes propagation. Empty
     /// in serial execution, which stages nothing ahead.
@@ -701,39 +551,23 @@ impl PreparedIteration {
     }
 }
 
-/// Output of the producer's gather stage: a sampled iteration whose
-/// feature matrices have not yet made the wire round-trip.
-struct StagedIteration {
-    iter: usize,
-    quotas: Vec<usize>,
-    seed_sets: Vec<Vec<u32>>,
-    batches: Vec<Option<MiniBatch>>,
-    features: Vec<Option<Matrix>>,
-    sample_wall_s: f64,
-    load_wall_s: f64,
-    threads: ThreadAlloc,
-}
-
-impl StagedIteration {
-    fn recycle(self, pool: &MatrixPool) {
-        for m in self.features.into_iter().flatten() {
-            pool.release(m);
-        }
-    }
-}
-
-/// Gather stage: slice seeds under `quotas`, sample one mini-batch per
-/// non-idle trainer, and gather features into pooled buffers (ring-local
-/// free lists first). Returns `None` once the epoch's seeds are
-/// exhausted.
-fn stage_gather(
+/// Prepare iteration `iter` of `epoch`: slice seeds under `quotas`,
+/// sample one mini-batch per non-idle trainer, and gather features into
+/// pooled buffers, staging nothing (no ring slots are taken). Returns
+/// `None` once the epoch's seeds are exhausted.
+///
+/// This is the single implementation of the producer stages — the
+/// serial (`depth = 0`) path calls it directly and the pipelined
+/// producer thread calls it before taking staging slots, which is what
+/// makes them bitwise-identical by construction.
+pub fn prepare_iteration(
     ctx: &PrepareCtx,
     order: &[u32],
     epoch: u64,
     iter: usize,
     quotas: &[usize],
     pool: &MatrixPool,
-) -> Option<StagedIteration> {
+) -> Option<PreparedIteration> {
     let (plan_iter, seed_sets) = ctx.batcher.plan(order, iter, quotas).next()?;
     debug_assert_eq!(plan_iter, iter);
     // Pool widths as budgeted right now — recorded with the iteration so
@@ -766,207 +600,34 @@ fn stage_gather(
     };
     let sample_wall_s = sample_start.elapsed().as_secs_f64();
 
-    // --- Feature Loading into pooled buffers: the n trainer matrices
-    // fan out across loader lanes (one per accelerator/CPU trainer, up
-    // to the pool's width), and each lane's gather is itself sharded
-    // across the NUMA row domains of `X`, thread shares weighted by the
-    // sampled rows' ownership histogram. Accelerator lanes draw their
-    // buffer from the staging ring's free list first (lane-local
-    // reuse). ---
-    let active: Vec<(usize, &MiniBatch)> = batches
+    // --- Feature Loading into pooled buffers, one per non-idle trainer ---
+    let load_start = Instant::now();
+    let jobs = batches
         .iter()
         .enumerate()
-        .filter_map(|(idx, b)| b.as_ref().map(|mb| (idx, mb)))
+        .filter_map(|(idx, b)| {
+            b.as_ref()
+                .map(|mb| (idx, mb.input_nodes.as_slice(), ctx.buffer(idx, pool)))
+        })
         .collect();
-    let gathered: Mutex<Vec<(usize, Matrix)>> = Mutex::new(Vec::with_capacity(active.len()));
-    let fan_out_start = Instant::now();
-    ctx.workers.loader().fan_out(active.len(), |k, lane| {
-        let (idx, mb) = active[k];
-        let mut x = ctx
-            .accel_of(idx)
-            .and_then(|a| ctx.rings.ring(a).take_buffer())
-            .unwrap_or_else(|| pool.acquire());
-        gather_features_numa_into(
-            &mut x,
-            &ctx.dataset.data.features,
-            &mb.input_nodes,
-            ctx.numa_domains,
-            lane,
-        );
-        gathered.lock().push((idx, x));
-    });
-    let load_wall_s = fan_out_start.elapsed().as_secs_f64();
     let mut features: Vec<Option<Matrix>> = batches.iter().map(|_| None).collect();
-    for (idx, x) in gathered.into_inner() {
+    for (idx, x) in ctx.gather_all(jobs) {
         features[idx] = Some(x);
     }
+    let load_wall_s = load_start.elapsed().as_secs_f64();
 
-    Some(StagedIteration {
+    Some(PreparedIteration {
         iter,
         quotas: quotas.to_vec(),
-        seed_sets,
-        batches,
-        features,
-        sample_wall_s,
-        load_wall_s,
-        threads,
-    })
-}
-
-/// One accelerator batch traveling from the gather stage to its
-/// transfer lane over the lane's bounded channel.
-struct LaneWork {
-    accel: usize,
-    x: Matrix,
-}
-
-impl LaneWork {
-    /// Return the gathered-but-untransferred buffer to its lane's free
-    /// list (a recycle invalidates contents, never allocations).
-    fn recycle(self, rings: &StagingRings) {
-        rings.ring(self.accel).put_buffer(self.x);
-    }
-}
-
-/// A lane's completed wire round-trip, headed for the assembler: the
-/// transferred matrix, the staging slot it occupies until propagation
-/// completes, and the lane-local transfer timing.
-struct LaneDone {
-    x: Matrix,
-    token: SlotToken,
-    span: (f64, f64),
-    wall_s: f64,
-}
-
-impl LaneDone {
-    fn recycle(self, rings: &StagingRings) {
-        let accel = self.token.accel();
-        rings.ring(accel).put_buffer(self.x);
-        // self.token drops here, releasing the staging slot
-    }
-}
-
-/// What a transfer lane reports back to the assembler — exactly one
-/// message per [`LaneWork`] it received, **always**, even during
-/// teardown. This one-for-one discipline is load-bearing: the assembler
-/// pairs completions with skeletons purely by per-lane FIFO order, so a
-/// lane that silently dropped a stopped work item would leave the
-/// assembler waiting on a completion that never comes while the gather
-/// thread is parked on the skeleton channel only the assembler can
-/// drain — a deadlock. A lane that bails out (stop raised before its
-/// round-trip) recycles the buffer and reports [`Aborted`](Self::Aborted)
-/// instead.
-enum LaneMsg {
-    /// The round-trip completed; the batch occupies its staging slot.
-    Done(LaneDone),
-    /// The work item was abandoned (shutdown); its buffer was recycled.
-    Aborted,
-}
-
-/// The non-accelerator remainder of a staged iteration (CPU batch,
-/// seed sets, walls) waiting at the assembler for its lanes' completed
-/// round-trips. `lanes` lists the ring indices that received a
-/// [`LaneWork`] for this iteration, in trainer order — the assembler
-/// receives exactly one [`LaneDone`] per entry, in that order, from
-/// each lane's FIFO completion channel.
-struct StagedSkeleton {
-    staged: StagedIteration,
-    lanes: Vec<usize>,
-}
-
-impl StagedSkeleton {
-    fn recycle(self, pool: &MatrixPool) {
-        self.staged.recycle(pool);
-    }
-}
-
-/// Transfer stage, inline serial variant: round-trip every
-/// accelerator-bound matrix at the wire precision (identity at F32; the
-/// §VIII quantization extension) back to back on the caller thread,
-/// stamping per-lane transfer spans against the epoch origin. `slots`
-/// are the staging slots this batch holds until propagation completes
-/// (empty in serial execution). The pipelined path runs the *same*
-/// round-trip per lane on the concurrent lane threads instead — one
-/// in-place call per matrix either way, which is what keeps the two
-/// bitwise-identical.
-fn apply_transfer(
-    ctx: &PrepareCtx,
-    staged: StagedIteration,
-    slots: Vec<SlotToken>,
-) -> PreparedIteration {
-    let StagedIteration {
-        iter,
-        quotas,
-        seed_sets,
-        batches,
-        mut features,
-        sample_wall_s,
-        load_wall_s,
-        threads,
-    } = staged;
-    let num_rings = ctx.rings.num_rings();
-    let mut lane_transfer_walls = vec![0.0f64; num_rings];
-    let mut lane_transfer_spans: Vec<Option<(f64, f64)>> = vec![None; num_rings];
-    let mut transfer_wall_s = 0.0f64;
-    let mut span: Option<(f64, f64)> = None;
-    for (idx, x) in features.iter_mut().enumerate() {
-        if let (Some(x), Some(a)) = (x.as_mut(), ctx.accel_of(idx)) {
-            let lane_start = ctx.origin.elapsed().as_secs_f64();
-            let wall_start = Instant::now();
-            ctx.workers
-                .loader()
-                .install(|| ctx.precision.round_trip_in_place(x));
-            let wall = wall_start.elapsed().as_secs_f64();
-            let lane_end = ctx.origin.elapsed().as_secs_f64();
-            lane_transfer_walls[a] = wall;
-            lane_transfer_spans[a] = Some((lane_start, lane_end));
-            transfer_wall_s += wall;
-            span = Some(match span {
-                Some((s, e)) => (s.min(lane_start), e.max(lane_end)),
-                None => (lane_start, lane_end),
-            });
-        }
-    }
-    let now = ctx.origin.elapsed().as_secs_f64();
-
-    PreparedIteration {
-        iter,
-        quotas,
         quota_epoch: 0,
         seed_sets,
         batches,
         features,
         sample_wall_s,
         load_wall_s,
-        transfer_wall_s,
-        transfer_span: span.unwrap_or((now, now)),
-        lane_transfer_walls,
-        lane_transfer_spans,
-        transfer_lanes: 1,
-        slots,
+        slots: Vec::new(),
         threads,
-    }
-}
-
-/// Prepare iteration `iter` of `epoch` inline: gather stage plus
-/// transfer stage back-to-back on the caller thread, staging nothing
-/// (no ring slots are taken). Returns `None` once the epoch's seeds are
-/// exhausted.
-///
-/// This is the single implementation of the producer stages — the
-/// serial (`depth = 0`) path calls it directly and the pipelined path
-/// runs the same two stages on background threads, which is what makes
-/// them bitwise-identical by construction.
-pub fn prepare_iteration(
-    ctx: &PrepareCtx,
-    order: &[u32],
-    epoch: u64,
-    iter: usize,
-    quotas: &[usize],
-    pool: &MatrixPool,
-) -> Option<PreparedIteration> {
-    let staged = stage_gather(ctx, order, epoch, iter, quotas, pool)?;
-    Some(apply_transfer(ctx, staged, Vec::new()))
+    })
 }
 
 /// Per-trainer batch accounting of one `reslice_iteration` call.
@@ -974,7 +635,7 @@ pub fn prepare_iteration(
 pub struct ResliceOutcome {
     /// Batches whose trainer's seed slice (and sampler stream) did not
     /// move: kept verbatim — sampled mini-batch, gathered features,
-    /// wire round-trip, and staging slot all survive.
+    /// and staging slot all survive.
     pub salvaged: usize,
     /// Batches discarded and (where the trainer stays active) redone
     /// under the new slicing.
@@ -987,11 +648,11 @@ pub struct ResliceOutcome {
 /// Trainers whose seed slice is byte-identical under the new quotas
 /// *and* whose sampler stream rank (index among non-empty trainers) is
 /// unchanged keep everything: sampled mini-batch, gathered feature
-/// matrix, completed wire round-trip, staging slot. Every other trainer
-/// is re-sliced: its old batch is dropped, its buffer reused, and its
-/// mini-batch re-sampled / re-gathered / re-round-tripped under exactly
-/// the streams a from-scratch producer would use — so the result is
-/// bitwise-identical to serial preparation under `new_quotas`.
+/// matrix, staging slot. Every other trainer is re-sliced: its old
+/// batch is dropped, its buffer reused, and its mini-batch re-sampled
+/// and re-gathered under exactly the streams a from-scratch producer
+/// would use — so the result is bitwise-identical to serial preparation
+/// under `new_quotas`.
 ///
 /// Returns `None` (leaving the iteration unusable — the caller recycles
 /// it) when the iteration does not exist under the new plan, the
@@ -1059,21 +720,9 @@ fn reslice_iteration(
         outcome.flushed += usize::from(prep.batches[t].is_some());
         prep.batches[t] = None;
         if new_seed_sets[t].is_empty() {
-            // trainer deactivated: its buffer goes back for reuse, and
-            // its lane's transfer accounting is cleared
+            // trainer deactivated: its buffer goes back for reuse
             if let Some(m) = prep.features[t].take() {
-                match ctx.accel_of(t) {
-                    Some(a) => ctx.rings.ring(a).put_buffer(m),
-                    None => pool.release(m),
-                }
-            }
-            if let Some(a) = ctx.accel_of(t) {
-                if let Some(w) = prep.lane_transfer_walls.get_mut(a) {
-                    *w = 0.0;
-                }
-                if let Some(s) = prep.lane_transfer_spans.get_mut(a) {
-                    *s = None;
-                }
+                ctx.release_buffer(t, m, pool);
             }
         } else {
             rebuild.push(t);
@@ -1096,70 +745,23 @@ fn reslice_iteration(
     });
     prep.sample_wall_s += sample_start.elapsed().as_secs_f64();
 
-    // --- Re-gather, reusing each trainer's existing buffer (then the
-    // lane free list, then the shared pool), fanned out over loader
-    // lanes exactly like the producer's gather stage.
+    // --- Re-gather exactly like the producer, reusing each trainer's
+    // existing buffer (then the lane free list, then the shared pool).
     let load_start = Instant::now();
-    let bufs: Vec<Mutex<Option<Matrix>>> = rebuild
+    let jobs = rebuild
         .iter()
-        .map(|&t| {
-            Mutex::new(Some(
-                prep.features[t]
-                    .take()
-                    .or_else(|| {
-                        ctx.accel_of(t)
-                            .and_then(|a| ctx.rings.ring(a).take_buffer())
-                    })
-                    .unwrap_or_else(|| pool.acquire()),
-            ))
+        .zip(&resampled)
+        .map(|(&t, mb)| {
+            let buf = prep.features[t]
+                .take()
+                .unwrap_or_else(|| ctx.buffer(t, pool));
+            (t, mb.input_nodes.as_slice(), buf)
         })
         .collect();
-    let gathered: Mutex<Vec<(usize, Matrix)>> = Mutex::new(Vec::with_capacity(rebuild.len()));
-    ctx.workers.loader().fan_out(rebuild.len(), |k, lane| {
-        let mut x = bufs[k].lock().take().expect("buffer taken once per item");
-        gather_features_numa_into(
-            &mut x,
-            &ctx.dataset.data.features,
-            &resampled[k].input_nodes,
-            ctx.numa_domains,
-            lane,
-        );
-        gathered.lock().push((rebuild[k], x));
-    });
-    prep.load_wall_s += load_start.elapsed().as_secs_f64();
-
-    // --- Wire round-trip for the rebuilt accelerator batches: each
-    // rebuilt lane's wall and span *replace* that lane's originals (the
-    // lane's batch was replaced outright); salvaged lanes keep theirs.
-    let span_start = ctx.origin.elapsed().as_secs_f64();
-    let mut any_transfer = false;
-    for (t, mut x) in gathered.into_inner() {
-        if let Some(a) = ctx.accel_of(t) {
-            let lane_start = ctx.origin.elapsed().as_secs_f64();
-            let wall_start = Instant::now();
-            ctx.workers
-                .loader()
-                .install(|| ctx.precision.round_trip_in_place(&mut x));
-            if let Some(w) = prep.lane_transfer_walls.get_mut(a) {
-                *w = wall_start.elapsed().as_secs_f64();
-            }
-            if let Some(s) = prep.lane_transfer_spans.get_mut(a) {
-                *s = Some((lane_start, ctx.origin.elapsed().as_secs_f64()));
-            }
-            any_transfer = true;
-        }
+    for (t, x) in ctx.gather_all(jobs) {
         prep.features[t] = Some(x);
     }
-    // aggregate stays the sum over lanes (salvaged + redone)
-    prep.transfer_wall_s = prep.lane_transfer_walls.iter().sum();
-    if any_transfer {
-        // The redo replaces the span outright: widening it over the
-        // original transfer would span the queue-sit gap in between and
-        // over-credit hidden-transfer overlap. Dropping the original
-        // span under-reports the (already-hidden) old round-trip — the
-        // conservative direction for an overlap metric.
-        prep.transfer_span = (span_start, ctx.origin.elapsed().as_secs_f64());
-    }
+    prep.load_wall_s += load_start.elapsed().as_secs_f64();
     for (&t, mb) in rebuild.iter().zip(resampled) {
         prep.batches[t] = Some(mb);
     }
@@ -1170,29 +772,25 @@ fn reslice_iteration(
 }
 
 /// Handle to one background producer run (one contiguous span of
-/// iterations under fixed quotas): a gather thread feeding one transfer
-/// *lane* per accelerator (each lane owns its staging ring and a
-/// bounded work channel; concurrent round-trips are capped by the
-/// shared [`TransferLaneGate`]) feeding an assembler that re-joins the
-/// lanes' completions into [`PreparedIteration`]s for the consumer
-/// queue.
+/// iterations under fixed quotas): a single thread that prepares each
+/// iteration, takes a staging slot per accelerator batch, and queues it
+/// for the consumer.
 struct Prefetcher {
     rx: Receiver<PreparedIteration>,
     stop: Arc<AtomicBool>,
     rings: Arc<StagingRings>,
-    gate: Arc<TransferLaneGate>,
     /// Prepared iterations currently sitting in the consumer queue
-    /// (incremented by the assembler on send, decremented on receive) —
+    /// (incremented by the producer on send, decremented on receive) —
     /// lets tests and benches wait for the queue to fill
     /// deterministically instead of sleeping.
     ready: Arc<AtomicUsize>,
-    handles: Vec<JoinHandle<()>>,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl Prefetcher {
     /// Spawn a producer covering `start_iter..end_iter` under `quotas`
     /// (stamping `quota_epoch` on every item), buffering at most
-    /// `depth` prepared iterations per stage boundary.
+    /// `depth` prepared iterations in the consumer queue.
     #[allow(clippy::too_many_arguments)]
     fn spawn(
         ctx: Arc<PrepareCtx>,
@@ -1205,237 +803,45 @@ impl Prefetcher {
         depth: usize,
         pool: Arc<MatrixPool>,
     ) -> Self {
-        let cap = depth.max(1);
-        let num_rings = ctx.rings.num_rings();
-        let (skel_tx, skel_rx) = sync_channel::<StagedSkeleton>(cap);
-        let (ready_tx, rx) = sync_channel::<PreparedIteration>(cap);
+        let (tx, rx) = sync_channel::<PreparedIteration>(depth.max(1));
         let stop = Arc::new(AtomicBool::new(false));
         let ready = Arc::new(AtomicUsize::new(0));
         let rings = Arc::clone(&ctx.rings);
-        let gate = Arc::clone(&ctx.transfer_gate);
-        let mut handles = Vec::with_capacity(2 + num_rings);
-
-        // Per-lane channels: gather → lane (bounded work) and lane →
-        // assembler (completion). Both are FIFO per lane, so the
-        // assembler re-pairs completions with skeletons purely by order
-        // — no sequence numbers needed.
-        //
-        // The completion channel is *unbounded* so a lane's report can
-        // never block: real completions are naturally bounded by the
-        // staging ring (every LaneDone holds a SlotToken, so at most
-        // `ring_depth` exist per lane), and teardown Aborted markers by
-        // the work channel's capacity. A lane parked in a completion
-        // send would neither drain its work channel (wedging the gather
-        // thread) nor drop its sender (wedging the assembler), and
-        // neither wait can observe `stop`.
-        let mut work_txs = Vec::with_capacity(num_rings);
-        let mut done_rxs = Vec::with_capacity(num_rings);
-        for a in 0..num_rings {
-            let (work_tx, work_rx) = sync_channel::<LaneWork>(cap);
-            let (done_tx, done_rx) = std::sync::mpsc::channel::<LaneMsg>();
-            work_txs.push(work_tx);
-            done_rxs.push(done_rx);
-
-            let ctx = Arc::clone(&ctx);
-            let stop = Arc::clone(&stop);
-            let handle = std::thread::Builder::new()
-                .name(format!("hyscale-lane-{a}"))
-                .spawn(move || {
-                    // The lane loop drains its channel to disconnect even
-                    // after `stop` rises (recycling, not transferring), so
-                    // a gather thread parked on a full lane channel always
-                    // completes its send and can observe the flag. Every
-                    // received work item is answered with exactly one
-                    // LaneMsg — Done or Aborted — because the assembler
-                    // pairs completions by FIFO order (see LaneMsg).
-                    while let Ok(work) = work_rx.recv() {
-                        if stop.load(Ordering::Acquire) {
-                            work.recycle(&ctx.rings);
-                            let _ = done_tx.send(LaneMsg::Aborted);
-                            continue;
-                        }
-                        // The staging-slot gate: blocks while every slot
-                        // of this lane's ring holds a batch still in
-                        // transfer or compute — ring depth 1 serializes
-                        // this lane's wire with its compute, depth 2
-                        // double-buffers them.
-                        let Some(token) = ctx.rings.acquire_token(work.accel, &stop) else {
-                            work.recycle(&ctx.rings);
-                            let _ = done_tx.send(LaneMsg::Aborted);
-                            continue;
-                        };
-                        // The lane-concurrency gate: at most
-                        // `TransferLaneGate::effective_cap` lanes run
-                        // their round-trips at once (WorkerGroup-style;
-                        // resized live by DRM balance_thread moves).
-                        // Entered *after* the slot so a gated lane never
-                        // blocks slot-holders of other rings.
-                        if !ctx.transfer_gate.enter(&stop) {
-                            drop(token);
-                            work.recycle(&ctx.rings);
-                            let _ = done_tx.send(LaneMsg::Aborted);
-                            continue;
-                        }
-                        let lanes = ctx.transfer_lanes();
-                        let sub = ctx.workers.loader().sub_group(lanes, work.accel % lanes);
-                        let mut x = work.x;
-                        let span_start = ctx.origin.elapsed().as_secs_f64();
-                        let wall_start = Instant::now();
-                        sub.install(|| ctx.precision.round_trip_in_place(&mut x));
-                        let wall_s = wall_start.elapsed().as_secs_f64();
-                        let span = (span_start, ctx.origin.elapsed().as_secs_f64());
-                        ctx.transfer_gate.exit();
-                        let done = LaneDone {
-                            x,
-                            token,
-                            span,
-                            wall_s,
-                        };
-                        if let Err(rejected) = done_tx.send(LaneMsg::Done(done)) {
-                            // assembler gone (teardown): recycle in place
-                            if let LaneMsg::Done(done) = rejected.0 {
-                                done.recycle(&ctx.rings);
-                            }
-                        }
-                    }
-                })
-                .expect("spawn transfer lane");
-            handles.push(handle);
-        }
-
-        let gather_handle = {
-            let ctx = Arc::clone(&ctx);
-            let order = Arc::clone(&order);
-            let pool = Arc::clone(&pool);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("hyscale-prefetch".into())
-                .spawn(move || {
-                    'epoch: for iter in start_iter..end_iter {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        match stage_gather(&ctx, &order, epoch, iter, &quotas, &pool) {
-                            Some(mut staged) => {
-                                // Fan the accelerator batches out to their
-                                // lanes' channels (in trainer order), then
-                                // hand the skeleton to the assembler. A
-                                // closed channel means the pipeline is
-                                // tearing down; recycle what this thread
-                                // still holds (the lanes recycle theirs).
-                                let mut lanes = Vec::new();
-                                for idx in 0..staged.batches.len() {
-                                    if staged.batches[idx].is_none() {
-                                        continue;
-                                    }
-                                    let Some(a) = ctx.accel_of(idx) else {
-                                        continue;
-                                    };
-                                    let x = staged.features[idx]
-                                        .take()
-                                        .expect("gathered accelerator feature matrix");
-                                    if work_txs[a].send(LaneWork { accel: a, x }).is_err() {
-                                        staged.recycle(&pool);
-                                        break 'epoch;
-                                    }
-                                    lanes.push(a);
-                                }
-                                if skel_tx.send(StagedSkeleton { staged, lanes }).is_err() {
-                                    break; // lane works already sent are
-                                           // recycled by their lanes
-                                }
-                            }
-                            None => break, // epoch seeds exhausted
-                        }
-                    }
-                })
-                .expect("spawn prefetch gather stage")
-        };
-        handles.push(gather_handle);
-
-        let assembler_handle = {
-            let ctx = Arc::clone(&ctx);
-            let pool = Arc::clone(&pool);
+        let handle = {
             let stop = Arc::clone(&stop);
             let ready = Arc::clone(&ready);
             std::thread::Builder::new()
-                .name("hyscale-assemble".into())
+                .name("hyscale-prefetch".into())
                 .spawn(move || {
-                    'assemble: while let Ok(skeleton) = skel_rx.recv() {
+                    for iter in start_iter..end_iter {
                         if stop.load(Ordering::Acquire) {
-                            skeleton.recycle(&pool);
                             break;
                         }
-                        let StagedSkeleton { staged, lanes } = skeleton;
-                        // Collect this iteration's completions, one per
-                        // active lane, in lane-FIFO order. An aborted work
-                        // item or a dead lane (stop raced us) aborts
-                        // assembly; everything gathered so far is
-                        // recycled.
-                        let mut dones: Vec<(usize, LaneDone)> = Vec::with_capacity(lanes.len());
-                        let mut aborted = false;
-                        for &a in &lanes {
-                            match done_rxs[a].recv() {
-                                Ok(LaneMsg::Done(done)) => dones.push((a, done)),
-                                Ok(LaneMsg::Aborted) | Err(_) => {
-                                    aborted = true;
-                                    break;
+                        let Some(mut prep) =
+                            prepare_iteration(&ctx, &order, epoch, iter, &quotas, &pool)
+                        else {
+                            break; // epoch seeds exhausted
+                        };
+                        // The staging-slot gate: one slot per accelerator
+                        // batch, blocking while a ring's slots all hold
+                        // batches still in compute — ring depth 1
+                        // serializes staging with compute, depth 2
+                        // double-buffers them. A raised stop refuses
+                        // instead of blocking; the iteration is recycled.
+                        let lanes: Vec<usize> = (0..prep.batches.len())
+                            .filter(|&idx| prep.batches[idx].is_some())
+                            .filter_map(|idx| ctx.accel_of(idx))
+                            .collect();
+                        for a in lanes {
+                            match ctx.rings.acquire_token(a, &stop) {
+                                Some(token) => prep.slots.push(token),
+                                None => {
+                                    ctx.recycle(prep, &pool);
+                                    return;
                                 }
                             }
                         }
-                        if aborted {
-                            for (_, d) in dones {
-                                d.recycle(&ctx.rings);
-                            }
-                            staged.recycle(&pool);
-                            break 'assemble;
-                        }
-                        let StagedIteration {
-                            iter,
-                            quotas,
-                            seed_sets,
-                            batches,
-                            mut features,
-                            sample_wall_s,
-                            load_wall_s,
-                            threads,
-                        } = staged;
-                        let num_rings = ctx.rings.num_rings();
-                        let mut lane_transfer_walls = vec![0.0f64; num_rings];
-                        let mut lane_transfer_spans: Vec<Option<(f64, f64)>> =
-                            vec![None; num_rings];
-                        let mut slots = Vec::with_capacity(dones.len());
-                        let mut transfer_wall_s = 0.0f64;
-                        let mut span: Option<(f64, f64)> = None;
-                        for (a, done) in dones {
-                            features[ctx.trainer_of(a)] = Some(done.x);
-                            slots.push(done.token);
-                            lane_transfer_walls[a] = done.wall_s;
-                            lane_transfer_spans[a] = Some(done.span);
-                            transfer_wall_s += done.wall_s;
-                            span = Some(match span {
-                                Some((s, e)) => (s.min(done.span.0), e.max(done.span.1)),
-                                None => done.span,
-                            });
-                        }
-                        let now = ctx.origin.elapsed().as_secs_f64();
-                        let prep = PreparedIteration {
-                            iter,
-                            quotas,
-                            quota_epoch,
-                            seed_sets,
-                            batches,
-                            features,
-                            sample_wall_s,
-                            load_wall_s,
-                            transfer_wall_s,
-                            transfer_span: span.unwrap_or((now, now)),
-                            lane_transfer_walls,
-                            lane_transfer_spans,
-                            transfer_lanes: ctx.transfer_lanes(),
-                            slots,
-                            threads,
-                        };
+                        prep.quota_epoch = quota_epoch;
                         // Count the item *before* committing it to the
                         // channel: a consumer receiving it concurrently
                         // must never observe its decrement before this
@@ -1443,50 +849,40 @@ impl Prefetcher {
                         // relies on the counter never under-reporting a
                         // committed item.
                         ready.fetch_add(1, Ordering::Release);
-                        if let Err(rejected) = ready_tx.send(prep) {
+                        if let Err(rejected) = tx.send(prep) {
                             ready.fetch_sub(1, Ordering::Release);
-                            rejected.0.recycle(&pool);
+                            ctx.recycle(rejected.0, &pool);
                             break;
                         }
                     }
-                    // Recycle whatever the gather stage had buffered.
-                    // Blocking receives, not `try_recv`: a gather thread
-                    // parked in `send` on the full channel completes its
-                    // send into the capacity each receive frees, and a
-                    // `try_recv` drain would race past that iteration
-                    // and destroy its buffers instead of pooling them.
-                    // This terminates: by the time the main loop breaks,
-                    // `stop` is raised (every break path follows it), so
-                    // the gather thread exits its loop and drops its
-                    // senders after at most one in-flight iteration.
-                    // Dropping `done_rxs` on exit unblocks any lane
-                    // parked in `done_tx.send`, and the lanes' own drain
-                    // loops recycle the rest.
-                    while let Ok(skeleton) = skel_rx.recv() {
-                        skeleton.recycle(&pool);
-                    }
                 })
-                .expect("spawn prefetch assembler stage")
+                .expect("spawn prefetch producer")
         };
-        handles.push(assembler_handle);
 
         Self {
             rx,
             stop,
             rings,
-            gate,
             ready,
-            handles,
+            handle: Some(handle),
         }
     }
 
     /// Blocking receive; `None` when the producer finished the epoch.
-    fn recv(&self) -> Option<PreparedIteration> {
-        let prep = self.rx.recv().ok();
-        if prep.is_some() {
-            self.ready.fetch_sub(1, Ordering::AcqRel);
+    /// A producer that died instead re-raises its panic here, on the
+    /// consumer, so a failed gather can never pass for an exhausted
+    /// epoch.
+    fn recv(&mut self) -> Option<PreparedIteration> {
+        match self.rx.recv() {
+            Ok(prep) => {
+                self.ready.fetch_sub(1, Ordering::AcqRel);
+                Some(prep)
+            }
+            Err(_) => {
+                join_producer(self.handle.take());
+                None
+            }
         }
-        prep
     }
 
     /// Prepared iterations currently buffered in the consumer queue.
@@ -1496,15 +892,14 @@ impl Prefetcher {
 
     /// Stop the producer, returning the contiguous run of fully-prepared
     /// iterations that were buffered in the consumer queue (front
-    /// first) so the caller can salvage them. Partially-prepared work
-    /// (gather-stage buffers, an in-flight transfer) is recycled by the
-    /// producer threads themselves before they exit.
+    /// first) so the caller can salvage them. An iteration the producer
+    /// was still preparing is recycled by the producer itself before it
+    /// exits.
     fn shutdown_collect(mut self) -> Vec<PreparedIteration> {
         self.stop.store(true, Ordering::Release);
-        // Wake transfer lanes blocked on a full staging ring or on the
-        // lane-concurrency gate so they can observe `stop` and bail out.
+        // Wake a producer blocked on a full staging ring so it can
+        // observe `stop` and bail out.
         self.rings.interrupt_all();
-        self.gate.interrupt();
         // Drain whatever is buffered so a producer blocked on a full
         // channel can complete its send, observe `stop`, and exit. The
         // collected items keep their buffers and staging slots. The
@@ -1512,8 +907,8 @@ impl Prefetcher {
         // the (microseconds-wide) window where an item is committed but
         // not yet visible to `try_recv` — otherwise a race would
         // silently flush a salvageable iteration. Termination: with
-        // `stop` raised the transfer stage sends at most the one item
-        // already counted, and if it dies the channel disconnects.
+        // `stop` raised the producer sends at most the one item already
+        // counted, and if it dies the channel disconnects.
         let mut collected = Vec::new();
         loop {
             match self.rx.try_recv() {
@@ -1530,24 +925,23 @@ impl Prefetcher {
                 Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
             }
         }
-        // Close the channel: any in-flight send now errors out (the
+        // Close the channel: an in-flight send now errors out (the
         // producer recycles the rejected iteration's buffers itself).
+        // Bounded wait: at most one in-flight iteration — the same work
+        // the consumer would do inline anyway before it can proceed
+        // under the new quotas.
+        let handle = self.handle.take();
         drop(self.rx);
-        for h in self.handles.drain(..) {
-            // Bounded wait: at most one in-flight iteration per stage —
-            // the same work the consumer would do inline anyway before
-            // it can proceed under the new quotas.
-            let _ = h.join();
-        }
+        join_producer(handle);
         collected
     }
+}
 
-    /// Stop the producer, recycling every buffered iteration and freeing
-    /// their staging slots.
-    fn shutdown(self, pool: &MatrixPool) {
-        for prep in self.shutdown_collect() {
-            prep.recycle(pool);
-        }
+/// Join a producer thread, re-raising its panic payload (if it
+/// panicked) on the caller.
+fn join_producer(handle: Option<JoinHandle<()>>) {
+    if let Some(Err(payload)) = handle.map(JoinHandle::join) {
+        std::panic::resume_unwind(payload);
     }
 }
 
@@ -1556,8 +950,7 @@ impl Prefetcher {
 /// change (DRM re-mapping) the invalidation is *surgical*: queued
 /// iterations are re-sliced per trainer (`reslice_iteration`) so
 /// settled trainers keep their prepared batches, and only the staging
-/// rings — and transfer lane channels — of lanes whose share moved are
-/// drained. A zero-diff re-map is a no-op; only missed-event recovery
+/// rings of lanes whose share moved are drained. A zero-diff re-map is a no-op; only missed-event recovery
 /// (a stale batch actually reaching the consumer) still pays the full
 /// flush.
 ///
@@ -1653,11 +1046,12 @@ impl IterationFeed {
     /// re-slice, full restart) goes through here.
     fn flush_item(&mut self, prep: PreparedIteration) {
         self.batches_flushed += prep.batches.iter().flatten().count();
-        prep.recycle(&self.pool);
+        self.ctx.recycle(prep, &self.pool);
     }
 
     /// Obtain iteration `iter` prepared under exactly `quotas`.
-    /// Returns `None` once the epoch's seeds are exhausted.
+    /// Returns `None` once the epoch's seeds are exhausted; a panic in
+    /// the producer thread is re-raised here with its original payload.
     ///
     /// Any re-maps recorded by [`invalidate`](Self::invalidate) since
     /// the last call are applied first, as a single coalesced re-slice.
@@ -1680,7 +1074,7 @@ impl IterationFeed {
             self.restart(iter, quotas.to_vec());
         }
         loop {
-            let prep = self.pipeline.as_ref().expect("pipeline alive").recv();
+            let prep = self.pipeline.as_mut().expect("pipeline alive").recv();
             match prep {
                 Some(prep)
                     if prep.quota_epoch == self.quota_epoch
@@ -1715,7 +1109,7 @@ impl IterationFeed {
     ///   the oldest-kept → newest quota diff: settled trainers keep
     ///   their batches, buffers, and staging slots
     ///   (`reslice_iteration`), and only the *changed* lanes record a
-    ///   ring drain and a lane-channel drain;
+    ///   ring drain;
     /// * the producer restarts after the salvaged run, under the new
     ///   quotas and a bumped quota epoch (stragglers from the old
     ///   generation are rejected at receive time by the epoch stamp).
@@ -1786,8 +1180,7 @@ impl IterationFeed {
             }
             self.flush_item(prep);
         }
-        // Only the lanes whose slice moved record the drain events —
-        // staging ring and transfer channel both, per changed lane.
+        // Only the lanes whose slice moved record a ring drain.
         self.ctx
             .rings
             .drain_lanes(&diff.changed_lanes(self.ctx.hybrid, self.ctx.rings.num_rings()));
@@ -1797,32 +1190,17 @@ impl IterationFeed {
     }
 
     /// Apply a DRM `balance_thread` re-allocation: re-size the shared
-    /// worker pools — and, in auto mode, the transfer-lane concurrency
-    /// cap — so the producer's next dispatch runs at the new widths.
-    /// Unlike [`invalidate`](Self::invalidate) this is an immediate
-    /// cross-thread atomic store, not a message through the queue — it
-    /// is unordered with respect to in-flight iterations and
+    /// worker pools so the producer's next dispatch runs at the new
+    /// widths. Unlike [`invalidate`](Self::invalidate) this is an
+    /// immediate cross-thread atomic store, not a message through the
+    /// queue — it is unordered with respect to in-flight iterations and
     /// deliberately drains nothing: not the queue, not the staging
-    /// rings, not the lane channels. Pool widths and lane concurrency
-    /// change wall-clock, never bytes, so already-prepared iterations
-    /// and in-flight transfers remain valid (`tests/equivalence.rs` and
-    /// the multi-lane matrix in `tests/proptest_invariants.rs` pin this
-    /// bitwise).
+    /// rings. Pool widths change wall-clock, never bytes, so
+    /// already-prepared iterations remain valid (`tests/equivalence.rs`
+    /// and the randomized DRM-schedule harness in
+    /// `tests/proptest_invariants.rs` pin this bitwise).
     pub fn rebalance_threads(&self, alloc: &ThreadAlloc) {
         self.ctx.workers.apply(alloc);
-        self.ctx.transfer_gate.on_thread_alloc(alloc);
-    }
-
-    /// Concurrent transfer lanes the producer can run right now (one
-    /// lane per accelerator ring, capped by the live
-    /// [`TransferLaneGate`] budget).
-    pub fn transfer_lanes(&self) -> usize {
-        self.ctx.transfer_lanes()
-    }
-
-    /// The live transfer-lane concurrency gate.
-    pub fn transfer_gate(&self) -> &Arc<TransferLaneGate> {
-        &self.ctx.transfer_gate
     }
 
     /// `balance_work` bursts folded into an already-pending re-map (each
@@ -1837,8 +1215,8 @@ impl IterationFeed {
         &self.ctx.workers
     }
 
-    /// The per-accelerator staging rings this feed's transfer stage
-    /// runs through.
+    /// The per-accelerator staging rings this feed's producer stages
+    /// batches through.
     pub fn rings(&self) -> &Arc<StagingRings> {
         &self.ctx.rings
     }
@@ -1856,8 +1234,8 @@ impl IterationFeed {
                 self.flush_item(prep);
             }
         }
-        // Count the drain on every ring: the staged wire transfers died
-        // with the producer generation that prepared them.
+        // Count the drain on every ring: the staged batches died with
+        // the producer generation that prepared them.
         self.ctx.rings.drain_all();
         self.restarts += 1;
         self.pipeline = Some(self.spawn_at(start_iter));
@@ -1896,11 +1274,12 @@ impl IterationFeed {
     /// split's quotas anyway.
     pub fn finish(mut self) {
         self.pending_remap = None;
-        for prep in self.salvaged.drain(..) {
-            prep.recycle(&self.pool);
-        }
-        if let Some(p) = self.pipeline.take() {
-            p.shutdown(&self.pool);
+        let queued = self
+            .pipeline
+            .take()
+            .map_or_else(Vec::new, Prefetcher::shutdown_collect);
+        for prep in self.salvaged.drain(..).chain(queued) {
+            self.ctx.recycle(prep, &self.pool);
         }
     }
 }
@@ -1909,25 +1288,30 @@ impl IterationFeed {
 mod tests {
     use super::*;
     use hyscale_tensor::init::randn;
+    use hyscale_tensor::Precision;
 
-    fn ctx_with_rings(ring_depth: usize) -> (Arc<PrepareCtx>, Arc<Vec<u32>>) {
-        let dataset = Arc::new(Dataset::toy(5));
+    fn ctx_over(
+        dataset: Dataset,
+        alloc: ThreadAlloc,
+        ring_depth: usize,
+    ) -> (Arc<PrepareCtx>, Arc<Vec<u32>>) {
         let batcher = EpochBatcher::new(dataset.splits.train.clone(), 99);
         let order = Arc::new(batcher.epoch_order(0));
-        let alloc = ThreadAlloc::default_for(8);
         let ctx = PrepareCtx {
-            dataset,
+            accel_features: Arc::new(WireFeatures::build(Precision::Int8, &dataset.data.features)),
+            dataset: Arc::new(dataset),
             batcher,
             sampler: NeighborSampler::new(vec![4, 3], 17),
-            precision: Precision::F32,
             hybrid: true,
             workers: Arc::new(StageWorkers::from_alloc(&alloc)),
             numa_domains: 2,
             rings: Arc::new(StagingRings::new(2, ring_depth)),
-            transfer_gate: Arc::new(TransferLaneGate::new(alloc.loader, true)),
-            origin: Instant::now(),
         };
         (Arc::new(ctx), order)
+    }
+
+    fn ctx_with_rings(ring_depth: usize) -> (Arc<PrepareCtx>, Arc<Vec<u32>>) {
+        ctx_over(Dataset::toy(5), ThreadAlloc::default_for(8), ring_depth)
     }
 
     fn ctx() -> (Arc<PrepareCtx>, Arc<Vec<u32>>) {
@@ -1980,8 +1364,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_transfer_wakes_when_slot_frees() {
-        // A transfer blocked on a full ring must wake when the consumer
+    fn blocked_producer_wakes_when_slot_frees() {
+        // A producer blocked on a full ring must wake when the consumer
         // releases the slot (token drop), not spin or deadlock.
         let rings = Arc::new(StagingRings::new(1, 1));
         let stop = Arc::new(AtomicBool::new(false));
@@ -2089,6 +1473,39 @@ mod tests {
                 "staging slots leaked at ring depth {ring_depth}"
             );
         }
+    }
+
+    #[test]
+    fn discarded_batches_return_buffers_to_their_roles() {
+        // Queued iterations discarded by `finish` hand each accelerator
+        // buffer back to its ring's free list and only the CPU trainer's
+        // to the shared pool, so no buffer grows to another role's size.
+        let (ctx, order) = ctx();
+        let pool = Arc::new(MatrixPool::new());
+        let quotas = vec![8usize, 8, 8];
+        let feed = IterationFeed::new(
+            Arc::clone(&ctx),
+            order,
+            0,
+            usize::MAX,
+            2,
+            Arc::clone(&pool),
+            quotas,
+        );
+        for _ in 0..500 {
+            if feed.buffered() >= 2 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert_eq!(feed.buffered(), 2, "producer never filled the queue");
+        feed.finish();
+        let lane_buffers =
+            |a: usize| std::iter::from_fn(|| ctx.rings.ring(a).take_buffer()).count();
+        let discarded = pool.idle();
+        assert!(discarded >= 2, "queued iterations were not recycled");
+        assert_eq!(lane_buffers(0), discarded);
+        assert_eq!(lane_buffers(1), discarded);
     }
 
     #[test]
@@ -2225,11 +1642,6 @@ mod tests {
         assert_eq!(second.iter, 1);
         assert_eq!(feed.restarts(), 0, "zero-diff re-map restarted producer");
         assert_eq!(feed.rings().drains_total(), 0, "zero-diff re-map drained");
-        assert_eq!(
-            feed.rings().channel_drains_total(),
-            0,
-            "zero-diff re-map drained a lane channel"
-        );
         assert_eq!(feed.salvage_stats(), (0, 0), "zero-diff re-map flushed");
         second.recycle(&pool);
         feed.finish();
@@ -2265,53 +1677,52 @@ mod tests {
         feed.finish();
     }
 
-    #[test]
-    fn transfer_gate_blocks_at_cap_and_wakes_on_resize() {
-        // a waiter parked on a full gate must wake when balance_thread
-        // widens the cap — not only when a lane exits
-        std::env::set_var("HYSCALE_RAYON_THREADS", "4");
-        let gate = Arc::new(TransferLaneGate::new(1, true));
-        let stop = Arc::new(AtomicBool::new(false));
-        assert!(gate.enter(&stop));
-        assert_eq!(gate.in_flight(), 1);
-        let waiter = {
-            let gate = Arc::clone(&gate);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || gate.enter(&stop))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(gate.in_flight(), 1, "cap 1 must hold the second lane");
-        gate.on_thread_alloc(&ThreadAlloc {
-            sampler: 1,
-            loader: 2,
-            trainer: 1,
-        });
-        assert_eq!(gate.cap(), 2, "auto mode follows the loader budget");
-        assert!(waiter.join().expect("waiter"), "resize never woke the lane");
-        assert_eq!(gate.in_flight(), 2);
-        gate.exit();
-        gate.exit();
-        assert_eq!(gate.in_flight(), 0);
-        std::env::remove_var("HYSCALE_RAYON_THREADS");
+    /// The payload of a caught panic as text.
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map_or_else(|_| "<non-text panic>".to_string(), |s| s.to_string()),
+        }
     }
 
     #[test]
-    fn transfer_gate_refuses_after_stop() {
-        let gate = Arc::new(TransferLaneGate::new(1, false));
-        let stop = Arc::new(AtomicBool::new(false));
-        assert!(gate.enter(&stop));
-        stop.store(true, Ordering::Release);
-        // full gate + stop: refuse rather than block (shutdown path)
-        assert!(!gate.enter(&stop));
-        // a fixed cap ignores thread re-allocations
-        gate.on_thread_alloc(&ThreadAlloc {
+    fn producer_panic_reaches_the_consumer() {
+        // A feature matrix with fewer rows than the graph has vertices:
+        // the gather of any batch reaching past row 0 panics. With one
+        // loader thread the gather runs on the producer thread itself,
+        // so its panic is the producer's.
+        let mut dataset = Dataset::toy(5);
+        let cols = dataset.data.features.cols();
+        dataset.data.features = Matrix::zeros(1, cols);
+        let alloc = ThreadAlloc {
             sampler: 1,
-            loader: 8,
+            loader: 1,
             trainer: 1,
-        });
-        assert_eq!(gate.cap(), 1, "fixed cap must not follow the loader");
-        gate.exit();
-        assert_eq!(gate.in_flight(), 0);
+        };
+        let (ctx, order) = ctx_over(dataset, alloc, 2);
+        let pool = Arc::new(MatrixPool::new());
+        let quotas = vec![8usize, 8, 8];
+        let inline = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            prepare_iteration(&ctx, &order, 0, 0, &quotas, &pool).map(|p| p.iter)
+        }));
+        let gather_message = panic_text(inline.expect_err("the gather must fail"));
+        let mut feed = IterationFeed::new(
+            Arc::clone(&ctx),
+            order,
+            0,
+            usize::MAX,
+            2,
+            Arc::clone(&pool),
+            quotas.clone(),
+        );
+        let piped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            feed.obtain(0, &quotas).map(|p| p.iter)
+        }));
+        let message =
+            panic_text(piped.expect_err("a dead producer must not read as the epoch's end"));
+        assert_eq!(message, gather_message);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use crate::stages::StageTimes;
 /// iteration (or, in an [`EpochReport`], the per-iteration mean).
 ///
 /// Under prefetching (`prefetch_depth > 0`) the producer stages
-/// (`sample`/`load`/`transfer`) run on a background thread overlapped
-/// with propagation, so `iter_s` approaches the slowest side rather than
+/// (`sample`/`load`) run on a background thread overlapped with
+/// propagation, so `iter_s` approaches the slowest side rather than
 /// the sum — compare [`WallStageTimes::serial_sum`] with `iter_s` to see
 /// the realized overlap.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -23,35 +23,6 @@ pub struct WallStageTimes {
     pub sample_s: f64,
     /// Feature gathering from CPU memory (producer side).
     pub load_s: f64,
-    /// Wire-precision round-trip, the functional stand-in for the PCIe
-    /// transfer (producer side) — the *aggregate* wire work, i.e. the
-    /// sum of every transfer lane's round-trip wall
-    /// ([`lane_transfer_s`](Self::lane_transfer_s)).
-    pub transfer_s: f64,
-    /// Portion of `transfer_s` that executed while the consumer was
-    /// concurrently inside GNN propagation of an *earlier* iteration —
-    /// the wire time the staging ring actually hid, summed over lanes
-    /// ([`lane_transfer_hidden_s`](Self::lane_transfer_hidden_s)). Zero
-    /// in serial execution and at staging-ring depth 1 (a lane's
-    /// transfer can only start once the previous batch's slot frees,
-    /// i.e. after its propagation ends).
-    pub transfer_hidden_s: f64,
-    /// Concurrent transfer lanes the producer ran with: the
-    /// per-accelerator lane count capped WorkerGroup-style by the live
-    /// transfer budget. `1` in serial execution (inline round-trips)
-    /// and `0` when unrecorded.
-    pub transfer_lanes: usize,
-    /// Per-accelerator-lane wire round-trip wall seconds (index =
-    /// staging-ring index; empty when unrecorded or no accelerator
-    /// batch shipped).
-    pub lane_transfer_s: Vec<f64>,
-    /// Per-lane share of [`lane_transfer_s`](Self::lane_transfer_s)
-    /// that ran behind an earlier batch's propagation — the hidden wire
-    /// time, per lane. With concurrent lanes the *busiest* lane
-    /// ([`busiest_lane_transfer_s`](Self::busiest_lane_transfer_s)) is
-    /// what actually gates the pipeline; the aggregate `transfer_s`
-    /// overstates the critical path by the lane overlap.
-    pub lane_transfer_hidden_s: Vec<f64>,
     /// GNN propagation + synchronization + weight update (consumer side).
     pub train_s: f64,
     /// End-to-end iteration wall-clock on the consumer thread.
@@ -73,7 +44,7 @@ pub struct WallStageTimes {
     pub invalidation_s: f64,
     /// The worker-pool widths the producer prepared this iteration
     /// under — the [`ThreadAlloc`] actually observed by the dispatches
-    /// behind `sample_s`/`load_s`/`transfer_s`. A DRM `balance_thread`
+    /// behind `sample_s`/`load_s`. A DRM `balance_thread`
     /// move shows up here as a shift in the recorded widths (the
     /// all-zero default means "unrecorded").
     pub threads: ThreadAlloc,
@@ -82,7 +53,7 @@ pub struct WallStageTimes {
 impl WallStageTimes {
     /// What the iteration would cost with no overlap at all.
     pub fn serial_sum(&self) -> f64 {
-        self.sample_s + self.load_s + self.transfer_s + self.train_s
+        self.sample_s + self.load_s + self.train_s
     }
 
     /// Realized overlap factor: serial cost over measured wall
@@ -96,78 +67,13 @@ impl WallStageTimes {
         }
     }
 
-    /// Fraction of the wire-transfer time hidden behind accelerator
-    /// compute (`transfer_hidden_s / transfer_s`, clamped to `[0, 1]`;
-    /// `0.0` when no transfer time was measured). `1.0` means the
-    /// staging ring hid the transfer completely.
-    pub fn transfer_overlap_ratio(&self) -> f64 {
-        if self.transfer_s > 0.0 {
-            (self.transfer_hidden_s / self.transfer_s).clamp(0.0, 1.0)
-        } else {
-            0.0
-        }
-    }
-
-    /// The slowest single lane's wire round-trip wall — with concurrent
-    /// transfer lanes this, not the aggregate `transfer_s`, is the
-    /// transfer stage's contribution to the pipeline's critical path.
-    pub fn busiest_lane_transfer_s(&self) -> f64 {
-        self.lane_transfer_s.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// How much wire wall the lane concurrency folded away: aggregate
-    /// transfer work over the busiest single lane (`≥ 1.0`; `1.0` =
-    /// one lane did everything, `n` = `n` perfectly-balanced concurrent
-    /// lanes). Returns 1.0 when no lane walls were recorded.
-    pub fn lane_overlap_factor(&self) -> f64 {
-        let busiest = self.busiest_lane_transfer_s();
-        if busiest > 0.0 {
-            (self.transfer_s / busiest).max(1.0)
-        } else {
-            1.0
-        }
-    }
-
-    /// Per-lane hidden-transfer ratio (`lane_transfer_hidden_s[a] /
-    /// lane_transfer_s[a]`, clamped to `[0, 1]`; 0 for idle lanes).
-    pub fn lane_overlap_ratios(&self) -> Vec<f64> {
-        self.lane_transfer_s
-            .iter()
-            .zip(&self.lane_transfer_hidden_s)
-            .map(|(&t, &h)| {
-                if t > 0.0 {
-                    (h / t).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
     /// Element-wise mean over a set of per-iteration measurements.
     pub fn mean_of<'a>(times: impl Iterator<Item = &'a WallStageTimes>) -> WallStageTimes {
         let mut acc = WallStageTimes::default();
         let mut n = 0usize;
-        let add_lanes = |acc: &mut Vec<f64>, lanes: &[f64]| {
-            if acc.len() < lanes.len() {
-                acc.resize(lanes.len(), 0.0);
-            }
-            for (a, &l) in acc.iter_mut().zip(lanes) {
-                *a += l;
-            }
-        };
         for t in times {
             acc.sample_s += t.sample_s;
             acc.load_s += t.load_s;
-            acc.transfer_s += t.transfer_s;
-            acc.transfer_hidden_s += t.transfer_hidden_s;
-            add_lanes(&mut acc.lane_transfer_s, &t.lane_transfer_s);
-            add_lanes(&mut acc.lane_transfer_hidden_s, &t.lane_transfer_hidden_s);
-            // lane concurrency doesn't average meaningfully: keep the
-            // settled (last-observed, non-zero) count
-            if t.transfer_lanes > 0 {
-                acc.transfer_lanes = t.transfer_lanes;
-            }
             acc.train_s += t.train_s;
             acc.iter_s += t.iter_s;
             // salvage accounting accumulates: epoch summaries carry the
@@ -184,15 +90,6 @@ impl WallStageTimes {
             let inv = 1.0 / n as f64;
             acc.sample_s *= inv;
             acc.load_s *= inv;
-            acc.transfer_s *= inv;
-            acc.transfer_hidden_s *= inv;
-            for l in acc
-                .lane_transfer_s
-                .iter_mut()
-                .chain(acc.lane_transfer_hidden_s.iter_mut())
-            {
-                *l *= inv;
-            }
             acc.train_s *= inv;
             acc.iter_s *= inv;
         }
@@ -311,18 +208,15 @@ mod tests {
         let a = WallStageTimes {
             sample_s: 1.0,
             load_s: 2.0,
-            transfer_s: 3.0,
             train_s: 4.0,
-            iter_s: 5.0,
+            iter_s: 4.0,
             ..Default::default()
         };
         let b = WallStageTimes {
             sample_s: 3.0,
             load_s: 4.0,
-            transfer_s: 5.0,
-            transfer_hidden_s: 0.0,
             train_s: 6.0,
-            iter_s: 9.0,
+            iter_s: 6.0,
             batches_salvaged: 3,
             batches_flushed: 1,
             invalidation_s: 0.25,
@@ -331,90 +225,24 @@ mod tests {
                 loader: 3,
                 trainer: 5,
             },
-            ..Default::default()
         };
         let b_threads = b.threads;
         let m = WallStageTimes::mean_of([a, b].iter());
         assert_eq!(m.sample_s, 2.0);
         assert_eq!(m.train_s, 5.0);
-        assert_eq!(m.transfer_hidden_s, 0.0);
         // counters and invalidation tax are totals, not means
         assert_eq!(m.batches_salvaged, 3);
         assert_eq!(m.batches_flushed, 1);
         assert_eq!(m.invalidation_s, 0.25);
         // widths keep the settled (last-observed) allocation
         assert_eq!(m.threads, b_threads);
-        assert_eq!(m.iter_s, 7.0);
-        assert!((m.serial_sum() - 14.0).abs() < 1e-12);
+        assert_eq!(m.iter_s, 5.0);
+        assert!((m.serial_sum() - 10.0).abs() < 1e-12);
         assert!((m.overlap_factor() - 2.0).abs() < 1e-12);
         assert_eq!(WallStageTimes::default().overlap_factor(), 1.0);
         assert_eq!(
             WallStageTimes::mean_of([].iter()),
             WallStageTimes::default()
         );
-    }
-
-    #[test]
-    fn transfer_overlap_ratio_bounds() {
-        let mut w = WallStageTimes {
-            transfer_s: 4.0,
-            transfer_hidden_s: 3.0,
-            ..Default::default()
-        };
-        assert!((w.transfer_overlap_ratio() - 0.75).abs() < 1e-12);
-        // clamped: measurement jitter can't push the ratio past 1
-        w.transfer_hidden_s = 9.0;
-        assert_eq!(w.transfer_overlap_ratio(), 1.0);
-        // no transfer measured -> defined as zero overlap
-        assert_eq!(WallStageTimes::default().transfer_overlap_ratio(), 0.0);
-        // hidden time averages like the other stages
-        let a = WallStageTimes {
-            transfer_s: 2.0,
-            transfer_hidden_s: 1.0,
-            ..Default::default()
-        };
-        let b = WallStageTimes {
-            transfer_s: 4.0,
-            transfer_hidden_s: 3.0,
-            ..Default::default()
-        };
-        let m = WallStageTimes::mean_of([a, b].iter());
-        assert!((m.transfer_hidden_s - 2.0).abs() < 1e-12);
-        assert!((m.transfer_overlap_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lane_metrics_and_means() {
-        let a = WallStageTimes {
-            transfer_s: 3.0,
-            transfer_hidden_s: 1.0,
-            transfer_lanes: 2,
-            lane_transfer_s: vec![2.0, 1.0],
-            lane_transfer_hidden_s: vec![1.0, 0.0],
-            ..Default::default()
-        };
-        // the busiest lane, not the aggregate, gates the pipeline
-        assert_eq!(a.busiest_lane_transfer_s(), 2.0);
-        assert!((a.lane_overlap_factor() - 1.5).abs() < 1e-12);
-        assert_eq!(a.lane_overlap_ratios(), vec![0.5, 0.0]);
-
-        // means: element-wise over lanes, ragged lengths zero-padded
-        let b = WallStageTimes {
-            transfer_s: 1.0,
-            transfer_lanes: 2,
-            lane_transfer_s: vec![1.0],
-            lane_transfer_hidden_s: vec![1.0],
-            ..Default::default()
-        };
-        let m = WallStageTimes::mean_of([a, b].iter());
-        assert_eq!(m.lane_transfer_s, vec![1.5, 0.5]);
-        assert_eq!(m.lane_transfer_hidden_s, vec![1.0, 0.0]);
-        assert_eq!(m.transfer_lanes, 2, "settled lane count survives");
-
-        // unrecorded lanes: factor degenerates to 1, ratios empty
-        let zero = WallStageTimes::default();
-        assert_eq!(zero.lane_overlap_factor(), 1.0);
-        assert_eq!(zero.busiest_lane_transfer_s(), 0.0);
-        assert!(zero.lane_overlap_ratios().is_empty());
     }
 }

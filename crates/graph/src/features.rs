@@ -7,6 +7,7 @@
 
 use crate::csr::CsrGraph;
 use hyscale_tensor::init::randn;
+use hyscale_tensor::quant::WireFeatures;
 use hyscale_tensor::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -161,13 +162,19 @@ pub fn domain_histogram(indices: &[u32], rows_per_domain: usize, num_domains: us
     hist
 }
 
-/// NUMA-aware variant of [`gather_features_into`]: the source matrix `X`
-/// is modeled as range-partitioned across `num_domains` sockets
-/// (contiguous row domains, the dual-socket layout of the paper's
-/// evaluation node), and the gather is dispatched through `group` so
-/// each socket's rows are copied by the worker threads pinned to that
-/// socket — with per-socket thread shares weighted by the sampled rows'
-/// ownership histogram ([`domain_histogram`] +
+/// NUMA-aware variant of [`gather_features_into`], read through a wire
+/// view: `out = round_trip(X)[indices, :]`, each row decoded from
+/// `wire` (built from `x`; [`WireFeatures::Host`] copies `x` as is) as
+/// it is copied. The round-trip is per row, so this is bitwise what
+/// gathering from `x` and then running `Precision::round_trip_in_place`
+/// on the result gives (see `hyscale_tensor::quant`).
+///
+/// The source matrix `X` is modeled as range-partitioned across
+/// `num_domains` sockets (contiguous row domains, the dual-socket layout
+/// of the paper's evaluation node), and the gather is dispatched through
+/// `group` so each socket's rows are copied by the worker threads pinned
+/// to that socket — with per-socket thread shares weighted by the
+/// sampled rows' ownership histogram ([`domain_histogram`] +
 /// [`rayon::WorkerGroup::run_sharded_weighted`]), so a batch whose rows
 /// skew heavily to one socket gives that socket's pool the threads
 /// instead of idling the other socket's fair share.
@@ -175,11 +182,11 @@ pub fn domain_histogram(indices: &[u32], rows_per_domain: usize, num_domains: us
 /// Every owning domain's threads sweep the full output range but copy
 /// only the rows whose *source* vertex lives in their domain (a domain
 /// owning no sampled rows is skipped outright), so each output row is
-/// written exactly once and the result is bitwise-identical to
-/// [`gather_features_into`] for any `(num_domains, group width)` and
-/// any skew.
-pub fn gather_features_numa_into(
+/// written exactly once and the result is the same for any
+/// `(num_domains, group width)` and any skew.
+pub fn gather_wire_numa_into(
     out: &mut Matrix,
+    wire: &WireFeatures,
     x: &Matrix,
     indices: &[u32],
     num_domains: usize,
@@ -188,8 +195,13 @@ pub fn gather_features_numa_into(
     let dim = x.cols();
     out.resize(indices.len(), dim);
     if num_domains <= 1 {
-        // Flat memory model: the plain gather, at this group's width.
-        group.install(|| gather_features_into(out, x, indices));
+        // Flat memory model: one parallel sweep at this group's width.
+        group.install(|| {
+            out.as_mut_slice()
+                .par_chunks_mut(dim)
+                .zip(indices.par_iter())
+                .for_each(|(dst, &src)| wire.read_row(x, src as usize, dst));
+        });
         return;
     }
     // Contiguous range partition of X's rows: socket d owns rows
@@ -199,7 +211,10 @@ pub fn gather_features_numa_into(
     let base = out.as_mut_slice().as_mut_ptr() as usize;
     group.run_sharded_weighted(indices.len(), &hist, |d, s, e| {
         for (i, &src) in indices[s..e].iter().enumerate() {
-            if src as usize / per != d {
+            // clamped like the histogram, so an index past the matrix
+            // reaches the last socket's `read_row` and panics there
+            // instead of leaving its output row unwritten
+            if (src as usize / per).min(num_domains - 1) != d {
                 continue; // row owned by another socket's workers
             }
             // SAFETY: source vertex `src` belongs to exactly one domain
@@ -209,7 +224,7 @@ pub fn gather_features_numa_into(
             let dst = unsafe {
                 std::slice::from_raw_parts_mut((base as *mut f32).add((s + i) * dim), dim)
             };
-            dst.copy_from_slice(x.row(src as usize));
+            wire.read_row(x, src as usize, dst);
         }
     });
 }
@@ -316,7 +331,7 @@ mod tests {
             for width in [1usize, 2, 5, 16] {
                 let group = rayon::WorkerGroup::new("loader", width);
                 let mut out = Matrix::full(10, 2, f32::NAN); // stale shape + contents
-                gather_features_numa_into(&mut out, &x, &idx, domains, &group);
+                gather_wire_numa_into(&mut out, &WireFeatures::Host, &x, &idx, domains, &group);
                 assert_eq!(
                     out.as_slice(),
                     reference.as_slice(),
@@ -324,6 +339,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn wire_gather_equals_round_trip_of_a_gather() {
+        use hyscale_tensor::Precision;
+        let mut x = randn(61, 9, 17);
+        x.row_mut(3)[4] = f32::NAN;
+        x.row_mut(10)[0] = f32::INFINITY;
+        x.row_mut(11)[8] = f32::NEG_INFINITY;
+        x.row_mut(20).fill(-1.25);
+        x.row_mut(40).fill(0.0);
+        x.row_mut(41)[2] = -0.0;
+        let mut idx: Vec<u32> = (0..200).map(|i| (i * 29) % 61).collect();
+        idx.extend([3, 3, 10, 11, 20, 40, 41, 41]); // repeats and awkward rows
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for p in [Precision::F32, Precision::F16, Precision::Int8] {
+            let wire = WireFeatures::build(p, &x);
+            let mut expected = gather_features(&x, &idx);
+            p.round_trip_in_place(&mut expected);
+            for domains in [1usize, 2, 3] {
+                for width in [1usize, 4] {
+                    let group = rayon::WorkerGroup::new("loader", width);
+                    let mut out = Matrix::full(5, 2, f32::NAN); // stale shape + contents
+                    gather_wire_numa_into(&mut out, &wire, &x, &idx, domains, &group);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&expected),
+                        "{p:?} view gather diverged at {domains} domains, width {width}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn numa_gather_rejects_indices_past_the_matrix() {
+        // used to skip such rows silently, leaving stale output behind
+        let x = randn(4, 3, 1);
+        let group = rayon::WorkerGroup::new("loader", 1);
+        let mut out = Matrix::uninit(0, 0);
+        gather_wire_numa_into(&mut out, &WireFeatures::Host, &x, &[1, 9, 2], 2, &group);
     }
 
     #[test]
@@ -339,7 +396,7 @@ mod tests {
         for domains in [1usize, 2, 4] {
             let group = rayon::WorkerGroup::new("loader", 4);
             let mut out = Matrix::uninit(0, 0);
-            gather_features_numa_into(&mut out, &x, &idx, domains, &group);
+            gather_wire_numa_into(&mut out, &WireFeatures::Host, &x, &idx, domains, &group);
             assert_eq!(
                 out.as_slice(),
                 reference.as_slice(),
@@ -377,7 +434,7 @@ mod tests {
         for domains in [2usize, 4] {
             let group = rayon::WorkerGroup::new("loader", 4);
             let mut out = Matrix::full(3, 3, f32::NAN);
-            gather_features_numa_into(&mut out, &x, &skewed, domains, &group);
+            gather_wire_numa_into(&mut out, &WireFeatures::Host, &x, &skewed, domains, &group);
             assert_eq!(
                 out.as_slice(),
                 reference.as_slice(),
@@ -393,7 +450,7 @@ mod tests {
         let idx = vec![2, 0, 1, 2];
         let group = rayon::WorkerGroup::new("loader", 4);
         let mut out = Matrix::uninit(0, 0);
-        gather_features_numa_into(&mut out, &x, &idx, 8, &group);
+        gather_wire_numa_into(&mut out, &WireFeatures::Host, &x, &idx, 8, &group);
         assert_eq!(out.as_slice(), gather_features(&x, &idx).as_slice());
     }
 

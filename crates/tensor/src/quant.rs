@@ -7,6 +7,26 @@
 //! and affine int8 row quantization of feature matrices. The functional
 //! path really quantizes and dequantizes (so accuracy effects are
 //! measurable), and the timing layer scales transfer bytes accordingly.
+//!
+//! ## The accelerator feature view
+//!
+//! The wire round-trip ([`Precision::round_trip`]) is a per-row pure
+//! function: row `r` of `round_trip(X)` depends on row `r` of `X` and
+//! nothing else (int8 derives its scale and offset from that row
+//! alone). A gather therefore commutes with it, bit for bit:
+//!
+//! ```text
+//! round_trip(gather(X, idx)) == gather(round_trip(X), idx)
+//! ```
+//!
+//! [`WireFeatures`] uses this to take the round-trip out of the
+//! training loop. It stores `X` at wire precision once (int8 as a
+//! [`QuantizedMatrix`] at a quarter of the f32 size, f16 as binary16
+//! bits, f32 as the host matrix itself with no copy), and an
+//! accelerator's mini-batch is gathered straight from it, each row
+//! decoded as it is copied. A row that repeats across trainers and
+//! iterations is quantized once instead of once per visit, and the
+//! trained numerics do not change by a single bit.
 
 use crate::matrix::Matrix;
 
@@ -53,8 +73,8 @@ impl Precision {
 
     /// In-place transfer round-trip: quantize + dequantize `x` at this
     /// precision without allocating (identity for F32). Bitwise
-    /// equivalent to [`Precision::round_trip`] — the prefetching
-    /// executor's buffer-pooled hot path relies on that.
+    /// equivalent to [`Precision::round_trip`] and, row for row, to
+    /// reading through [`WireFeatures`].
     pub fn round_trip_in_place(self, x: &mut Matrix) {
         match self {
             Precision::F32 => {}
@@ -81,10 +101,26 @@ impl Precision {
 /// [`QuantizedMatrix::quantize_int8`] and
 /// [`Precision::round_trip_in_place`] — the prefetch determinism
 /// contract requires the two paths to stay bitwise-identical.
+///
+/// The row's min and max (NaN ignored) run in eight independent lanes,
+/// so the scan is not one serial chain of compares; the lanes only
+/// reorder which of `-0.0`/`+0.0` wins a tie, and neither `scale` nor
+/// `offset` depends on the sign of a zero bound.
 fn int8_row_params(row: &[f32]) -> (f32, f32) {
+    let mut lo8 = [f32::INFINITY; 8];
+    let mut hi8 = [f32::NEG_INFINITY; 8];
+    let mut chunks = row.chunks_exact(8);
+    for c in &mut chunks {
+        for k in 0..8 {
+            lo8[k] = if c[k] < lo8[k] { c[k] } else { lo8[k] };
+            hi8[k] = if c[k] > hi8[k] { c[k] } else { hi8[k] };
+        }
+    }
     let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-    for &v in row {
+    for &v in lo8.iter().chain(chunks.remainder()) {
         lo = lo.min(v);
+    }
+    for &v in hi8.iter().chain(chunks.remainder()) {
         hi = hi.max(v);
     }
     if !lo.is_finite() || !hi.is_finite() || lo == hi {
@@ -96,10 +132,20 @@ fn int8_row_params(row: &[f32]) -> (f32, f32) {
     (scale, offset)
 }
 
-/// Quantize one value to int8 under `(scale, offset)`.
+/// Quantize one value to int8 under `(scale, offset)`: round half away
+/// from zero, saturate to ±127, NaN → 0. This is exactly
+/// `((v - offset) / scale).round().clamp(-127.0, 127.0) as i8`, without
+/// the `roundf` call `f32::round` compiles to on baseline x86-64.
+/// Clamping to ±128 first keeps the truncation in range, and
+/// `t - trunc(t)` is exact for every such `t`, so comparing the
+/// fraction with ±0.5 rounds exactly.
 #[inline]
 fn int8_quantize_value(v: f32, scale: f32, offset: f32) -> i8 {
-    ((v - offset) / scale).round().clamp(-127.0, 127.0) as i8
+    let t = ((v - offset) / scale).clamp(-128.0, 128.0);
+    let whole = t as i32; // truncates toward zero; NaN → 0
+    let frac = t - whole as f32;
+    let rounded = whole + i32::from(frac >= 0.5) - i32::from(frac <= -0.5);
+    rounded.clamp(-127, 127) as i8
 }
 
 /// Quantize-then-dequantize one value under `(scale, offset)`.
@@ -179,37 +225,122 @@ pub fn f16_to_f32(bits: u16) -> f32 {
     f32::from_bits(out)
 }
 
+/// The feature matrix as accelerators receive it over the wire, built
+/// once from the host matrix and then read row by row: row `r` read
+/// through [`read_row`](Self::read_row) equals row `r` of
+/// `precision.round_trip(host)` bit for bit (see the module docs for
+/// why gathering from it equals round-tripping a gathered batch).
+pub enum WireFeatures {
+    /// F32 wire, the identity: nothing is stored, rows are read from
+    /// the host matrix.
+    Host,
+    /// F16 wire: the binary16 bits of every element, row-major.
+    F16 {
+        /// `rows × cols` binary16 values.
+        bits: Vec<u16>,
+        /// Row width.
+        cols: usize,
+    },
+    /// Int8 wire: per-row affine int8, a quarter of the f32 size.
+    Int8(QuantizedMatrix),
+}
+
+impl WireFeatures {
+    /// The view of `host` at `precision`, built in parallel over row
+    /// blocks.
+    pub fn build(precision: Precision, host: &Matrix) -> Self {
+        match precision {
+            Precision::F32 => WireFeatures::Host,
+            Precision::F16 => {
+                let cols = host.cols();
+                let mut bits = vec![0u16; host.rows() * cols];
+                for_row_blocks(&mut bits, cols, |first, block| {
+                    let src = &host.as_slice()[first * cols..first * cols + block.len()];
+                    for (b, &v) in block.iter_mut().zip(src) {
+                        *b = f32_to_f16(v);
+                    }
+                });
+                WireFeatures::F16 { bits, cols }
+            }
+            Precision::Int8 => WireFeatures::Int8(QuantizedMatrix::quantize_int8(host)),
+        }
+    }
+
+    /// Write row `r` of the round-tripped host matrix into `dst` (one
+    /// row wide). `host` is the matrix this view was built from; only
+    /// [`WireFeatures::Host`] reads it.
+    #[inline]
+    pub fn read_row(&self, host: &Matrix, r: usize, dst: &mut [f32]) {
+        match self {
+            WireFeatures::Host => dst.copy_from_slice(host.row(r)),
+            WireFeatures::F16 { bits, cols } => {
+                for (d, &b) in dst.iter_mut().zip(&bits[r * cols..(r + 1) * cols]) {
+                    *d = f16_to_f32(b);
+                }
+            }
+            WireFeatures::Int8(q) => q.dequantize_row_into(r, dst),
+        }
+    }
+}
+
+/// Run `f(first_row, block)` over contiguous blocks of whole rows of
+/// `out` (`cols` elements per row), one block per available thread.
+fn for_row_blocks<T: Send>(out: &mut [T], cols: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+    let rows = out.len().checked_div(cols).unwrap_or(0);
+    let block_rows = rows.div_ceil(rayon::max_threads()).max(1);
+    std::thread::scope(|s| {
+        let f = &f;
+        for (b, block) in out.chunks_mut(block_rows * cols.max(1)).enumerate() {
+            s.spawn(move || f(b * block_rows, block));
+        }
+    });
+}
+
 /// An int8-quantized matrix with per-row affine parameters.
 pub struct QuantizedMatrix {
     data: Vec<i8>,
-    scales: Vec<f32>,
-    offsets: Vec<f32>,
+    /// Per-row `(scale, offset)`.
+    params: Vec<(f32, f32)>,
     rows: usize,
     cols: usize,
 }
 
 impl QuantizedMatrix {
-    /// Per-row affine quantization: `q = round((x - offset) / scale)`.
+    /// Per-row affine quantization: `q = round((x - offset) / scale)`,
+    /// in parallel over row blocks.
     pub fn quantize_int8(x: &Matrix) -> Self {
         let (rows, cols) = x.shape();
-        let mut data = Vec::with_capacity(rows * cols);
-        let mut scales = Vec::with_capacity(rows);
-        let mut offsets = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let row = x.row(r);
-            let (scale, offset) = int8_row_params(row);
-            scales.push(scale);
-            offsets.push(offset);
-            for &v in row {
-                data.push(int8_quantize_value(v, scale, offset));
+        let mut params = vec![(0.0f32, 0.0f32); rows];
+        for_row_blocks(&mut params, 1, |first, block| {
+            for (i, p) in block.iter_mut().enumerate() {
+                *p = int8_row_params(x.row(first + i));
             }
-        }
+        });
+        let mut data = vec![0i8; rows * cols];
+        for_row_blocks(&mut data, cols, |first, block| {
+            for (i, dst) in block.chunks_mut(cols).enumerate() {
+                let (scale, offset) = params[first + i];
+                for (q, &v) in dst.iter_mut().zip(x.row(first + i)) {
+                    *q = int8_quantize_value(v, scale, offset);
+                }
+            }
+        });
         Self {
             data,
-            scales,
-            offsets,
+            params,
             rows,
             cols,
+        }
+    }
+
+    /// Dequantize row `r` into `dst` (one row wide): the fused
+    /// gather-dequantize of [`WireFeatures::Int8`].
+    #[inline]
+    fn dequantize_row_into(&self, r: usize, dst: &mut [f32]) {
+        let (scale, offset) = self.params[r];
+        let src = &self.data[r * self.cols..(r + 1) * self.cols];
+        for (o, &q) in dst.iter_mut().zip(src) {
+            *o = f32::from(q) * scale + offset;
         }
     }
 
@@ -217,12 +348,7 @@ impl QuantizedMatrix {
     pub fn dequantize(&self) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
-            let scale = self.scales[r];
-            let offset = self.offsets[r];
-            let src = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &q) in out.row_mut(r).iter_mut().zip(src) {
-                *o = f32::from(q) * scale + offset;
-            }
+            self.dequantize_row_into(r, out.row_mut(r));
         }
         out
     }
@@ -319,6 +445,100 @@ mod tests {
     fn f32_round_trip_is_identity() {
         let x = randn(5, 5, 9);
         assert_eq!(Precision::F32.round_trip(&x).as_slice(), x.as_slice());
+    }
+
+    /// The `f32::round` formula `int8_quantize_value` replaced.
+    fn quantize_with_round(v: f32, scale: f32, offset: f32) -> i8 {
+        ((v - offset) / scale).round().clamp(-127.0, 127.0) as i8
+    }
+
+    #[test]
+    fn int8_rounding_matches_round_formula_exactly() {
+        let mut probes = vec![
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x807f_ffff),
+            f32::MAX,
+            f32::MIN,
+        ];
+        // every half-integer in [-128, 128] and its one-ulp neighbours
+        for k in -256..=256 {
+            let h = k as f32 * 0.5;
+            probes.extend([h, h.next_down(), h.next_up()]);
+        }
+        // a dense sweep of bit patterns in [-130, 130]
+        let top = 130.0f32.to_bits();
+        for bits in (0..=top).step_by(769) {
+            let v = f32::from_bits(bits);
+            probes.extend([v, -v]);
+        }
+        for &v in &probes {
+            assert_eq!(
+                int8_quantize_value(v, 1.0, 0.0),
+                quantize_with_round(v, 1.0, 0.0),
+                "value {v:e} ({:#010x})",
+                v.to_bits()
+            );
+        }
+        // and under real row parameters, where the quotient is rounded
+        let x = randn(16, 40, 21);
+        for r in 0..x.rows() {
+            let (scale, offset) = int8_row_params(x.row(r));
+            for &v in x.row(r).iter().chain(&probes) {
+                assert_eq!(
+                    int8_quantize_value(v, scale, offset),
+                    quantize_with_round(v, scale, offset),
+                    "value {v:e} under scale {scale:e}, offset {offset:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn int8_row_params_match_a_serial_scan() {
+        // the scan int8_row_params replaced: one chain of min/max
+        let serial = |row: &[f32]| {
+            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+            for &v in row {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            if !lo.is_finite() || !hi.is_finite() || lo == hi {
+                lo = if lo.is_finite() { lo } else { 0.0 };
+                hi = lo + 1.0;
+            }
+            let scale = (hi - lo) / 254.0;
+            (scale, lo + 127.0 * scale)
+        };
+        let x = randn(4, 37, 8);
+        let rows: Vec<Vec<f32>> = vec![
+            x.row(0).to_vec(),
+            x.row(1)[..5].to_vec(),
+            vec![],
+            vec![f32::NAN; 9],
+            vec![0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, -0.0],
+            vec![-0.0, 0.0, 2.0, -0.0, 1.0, 0.0, -0.0, 0.0, 0.0, -0.0, 0.0],
+            vec![3.0; 17],
+            [x.row(2), &[f32::NAN, f32::INFINITY][..]].concat(),
+            [&[f32::NEG_INFINITY][..], x.row(3)].concat(),
+        ];
+        for row in &rows {
+            let (a, b) = (int8_row_params(row), serial(row));
+            assert_eq!(
+                (a.0.to_bits(), a.1.to_bits()),
+                (b.0.to_bits(), b.1.to_bits()),
+                "row {row:?}"
+            );
+        }
     }
 
     #[test]

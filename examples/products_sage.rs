@@ -75,8 +75,8 @@ fn main() {
 /// overlapped with propagation. Training is bitwise-identical at every
 /// depth; only the measured wall changes. Uses a larger materialization
 /// and int8 wire precision — the PCIe-bound regime the paper's §VIII
-/// quantization extension targets, where there is real transfer work to
-/// hide.
+/// quantization extension targets (accelerator batches are gathered
+/// from the int8 feature view built at set-up).
 fn real_pipeline_demo() {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -109,15 +109,13 @@ fn real_pipeline_demo() {
         let last = reports.last().expect("two epochs");
         let stages = &last.wall_stages;
         println!(
-            "  depth {depth}: epoch wall {:>7.3}s  (stages s/l/t/p {:>6.1}/{:>5.1}/{:>6.1}/{:>6.1} ms, \
-             overlap {:>4.2}x, transfer hidden {:>3.0}%, loss {:.3})",
+            "  depth {depth}: epoch wall {:>7.3}s  (stages s/l/p {:>6.1}/{:>5.1}/{:>6.1} ms, \
+             overlap {:>4.2}x, loss {:.3})",
             last.wall_s,
             stages.sample_s * 1e3,
             stages.load_s * 1e3,
-            stages.transfer_s * 1e3,
             stages.train_s * 1e3,
             stages.overlap_factor(),
-            stages.transfer_overlap_ratio() * 100.0,
             last.loss,
         );
         last.wall_s

@@ -146,12 +146,12 @@ fn balance_thread_resizes_live_worker_pools() {
 mod ring_fixture {
     use hyscale::core::drm::ThreadAlloc;
     use hyscale::core::stages::StageWorkers;
-    use hyscale::core::{IterationFeed, MatrixPool, PrepareCtx, StagingRings, TransferLaneGate};
+    use hyscale::core::{IterationFeed, MatrixPool, PrepareCtx, StagingRings};
     use hyscale::graph::Dataset;
     use hyscale::sampler::{EpochBatcher, NeighborSampler};
+    use hyscale::tensor::quant::WireFeatures;
     use hyscale::tensor::Precision;
     use std::sync::Arc;
-    use std::time::Instant;
 
     pub fn feed(
         num_accel: usize,
@@ -167,33 +167,18 @@ mod ring_fixture {
         ring_depth: usize,
         quotas: Vec<usize>,
     ) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
-        let alloc = ThreadAlloc::default_for(8);
-        // auto mode: the transfer-lane cap follows the loader budget
-        let gate = Arc::new(TransferLaneGate::new(alloc.loader, true));
-        feed_with_gate(num_accel, depth, ring_depth, quotas, gate)
-    }
-
-    pub fn feed_with_gate(
-        num_accel: usize,
-        depth: usize,
-        ring_depth: usize,
-        quotas: Vec<usize>,
-        gate: Arc<TransferLaneGate>,
-    ) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
         let dataset = Arc::new(Dataset::toy(5));
         let batcher = EpochBatcher::new(dataset.splits.train.clone(), 99);
         let order = Arc::new(batcher.epoch_order(0));
         let ctx = Arc::new(PrepareCtx {
+            accel_features: Arc::new(WireFeatures::build(Precision::Int8, &dataset.data.features)),
             dataset,
             batcher,
             sampler: NeighborSampler::new(vec![4, 3], 17),
-            precision: Precision::Int8,
             hybrid: true,
             workers: Arc::new(StageWorkers::from_alloc(&ThreadAlloc::default_for(8))),
             numa_domains: 2,
             rings: Arc::new(StagingRings::new(num_accel, ring_depth)),
-            transfer_gate: gate,
-            origin: Instant::now(),
         });
         let pool = Arc::new(MatrixPool::new());
         let feed = IterationFeed::new(
@@ -227,7 +212,7 @@ mod ring_fixture {
 
 /// `balance_work` semantics are *surgical*: a quota change invalidates
 /// only the trainers whose seed slice moved and drains only the staging
-/// rings — and transfer lane channels — of the lanes whose share moved.
+/// rings of the lanes whose share moved.
 /// Untouched lanes keep their drain counts and their staged batches.
 /// (The re-slice itself is deferred to the next `obtain`, where bursts
 /// coalesce.)
@@ -248,16 +233,6 @@ fn balance_work_drains_only_changed_lanes() {
     assert_eq!(feed.restarts(), 1, "balance_work must restart the producer");
     assert_eq!(feed.rings().ring(0).drains(), 1, "changed lane drained");
     assert_eq!(feed.rings().ring(1).drains(), 0, "untouched lane spared");
-    assert_eq!(
-        feed.rings().ring(0).channel_drains(),
-        1,
-        "changed lane's transfer channel drained"
-    );
-    assert_eq!(
-        feed.rings().ring(1).channel_drains(),
-        0,
-        "untouched lane's transfer channel spared"
-    );
 
     // the reverse move changes lane 0 again, and again spares lane 1
     let newer_quotas = vec![8usize, 8, 8];
@@ -266,8 +241,6 @@ fn balance_work_drains_only_changed_lanes() {
     assert_eq!(third.quotas, newer_quotas);
     assert_eq!(feed.rings().ring(0).drains(), 2);
     assert_eq!(feed.rings().ring(1).drains(), 0);
-    assert_eq!(feed.rings().ring(0).channel_drains(), 2);
-    assert_eq!(feed.rings().ring(1).channel_drains(), 0);
     third.recycle(&pool);
     let rings = std::sync::Arc::clone(feed.rings());
     feed.finish();
@@ -278,8 +251,7 @@ fn balance_work_drains_only_changed_lanes() {
 /// `balance_work` moves of the *same* trainer (lane 0 donates seeds to
 /// the CPU twice before the consumer's next obtain) must fold into ONE
 /// re-slice against the final quotas — one producer restart, one ring
-/// drain, one channel drain, and the queued iterations re-sliced once,
-/// not twice.
+/// drain, and the queued iterations re-sliced once, not twice.
 #[test]
 fn burst_of_same_trainer_moves_reslices_once() {
     let old_quotas = vec![12usize, 8, 8, 8];
@@ -303,16 +275,13 @@ fn burst_of_same_trainer_moves_reslices_once() {
     assert_eq!(second.seed_sets[1].len(), 4);
     second.recycle(&pool);
 
-    // ONE re-slice for the whole burst: lane 0 drained once (ring and
-    // channel), untouched lanes spared, producer restarted once, and
-    // each queued iteration's movers flushed exactly once
+    // ONE re-slice for the whole burst: lane 0 drained once, untouched
+    // lanes spared, producer restarted once, and each queued
+    // iteration's movers flushed exactly once
     assert_eq!(feed.restarts(), 1, "burst must pay a single restart");
     assert_eq!(feed.rings().ring(0).drains(), 1, "lane 0 drains once");
-    assert_eq!(feed.rings().ring(0).channel_drains(), 1);
     assert_eq!(feed.rings().ring(1).drains(), 0);
     assert_eq!(feed.rings().ring(2).drains(), 0);
-    assert_eq!(feed.rings().ring(1).channel_drains(), 0);
-    assert_eq!(feed.rings().ring(2).channel_drains(), 0);
     let (salvaged, flushed) = feed.salvage_stats();
     assert_eq!(
         salvaged,
@@ -355,13 +324,6 @@ fn single_lane_quota_diff_salvages_untouched_trainers() {
     assert_eq!(feed.rings().ring(0).drains(), 1, "moved lane must drain");
     assert_eq!(feed.rings().ring(1).drains(), 0, "lane 1 spared");
     assert_eq!(feed.rings().ring(2).drains(), 0, "lane 2 spared");
-    assert_eq!(
-        feed.rings().ring(0).channel_drains(),
-        1,
-        "moved lane's transfer channel must drain"
-    );
-    assert_eq!(feed.rings().ring(1).channel_drains(), 0);
-    assert_eq!(feed.rings().ring(2).channel_drains(), 0);
 
     let (salvaged, flushed) = feed.salvage_stats();
     assert!(
@@ -418,11 +380,6 @@ fn zero_diff_balance_work_drains_nothing() {
     );
     assert_eq!(feed.rings().drains_total(), 0, "zero-diff re-map drained");
     assert_eq!(
-        feed.rings().channel_drains_total(),
-        0,
-        "zero-diff re-map drained a lane channel"
-    );
-    assert_eq!(
         feed.salvage_stats(),
         (0, 0),
         "zero-diff re-map flushed work"
@@ -435,18 +392,14 @@ fn zero_diff_balance_work_drains_nothing() {
     feed.finish();
 }
 
-/// `balance_thread` semantics: re-sizing the worker pools — and, in
-/// auto mode, the transfer-lane concurrency — must leave the staging
-/// rings and lane channels intact: no drain, no restart, in-flight
-/// staged batches stay valid (widths and lane counts change wall-clock,
-/// never bytes).
+/// `balance_thread` semantics: re-sizing the worker pools must leave
+/// the staging rings intact: no drain, no restart, staged batches stay
+/// valid (widths change wall-clock, never bytes).
 #[test]
 fn balance_thread_leaves_staging_rings_intact() {
     let (mut feed, pool, quotas) = ring_fixture::feed(2, 2, 2);
     let first = feed.obtain(0, &quotas).expect("first iteration");
     first.recycle(&pool);
-    let cap_before = feed.transfer_gate().cap();
-    assert!(cap_before >= 1);
 
     let moved = ThreadAlloc {
         sampler: 2,
@@ -455,27 +408,15 @@ fn balance_thread_leaves_staging_rings_intact() {
     };
     feed.rebalance_threads(&moved);
     assert_eq!(feed.workers().observed(), moved);
-    // auto mode: the lane concurrency cap followed the loader budget —
-    // a live resize with no draining of any kind
-    assert_eq!(
-        feed.transfer_gate().cap(),
-        4,
-        "transfer-lane cap must follow the loader budget in auto mode"
-    );
     assert_eq!(feed.restarts(), 0, "balance_thread must not restart");
     assert_eq!(
         feed.rings().drains_total(),
         0,
         "balance_thread must not drain the staging rings"
     );
-    assert_eq!(
-        feed.rings().channel_drains_total(),
-        0,
-        "balance_thread must not drain the lane channels"
-    );
 
     // prepared iterations keep flowing through the untouched rings,
-    // including across a second lane-count change mid-stream
+    // including across a second width change mid-stream
     for iter in 1..=3 {
         if iter == 2 {
             feed.rebalance_threads(&ThreadAlloc {
@@ -483,66 +424,40 @@ fn balance_thread_leaves_staging_rings_intact() {
                 loader: 1,
                 trainer: 5,
             });
-            assert_eq!(feed.transfer_gate().cap(), 1, "lane cap narrowed live");
+            assert_eq!(feed.workers().loader().width(), 1, "loader narrowed live");
         }
         let prep = feed.obtain(iter, &quotas).expect("post-move iteration");
         assert_eq!(prep.slots.len(), 2);
         prep.recycle(&pool);
     }
     assert_eq!(feed.rings().drains_total(), 0);
-    assert_eq!(feed.rings().channel_drains_total(), 0);
     let rings = std::sync::Arc::clone(feed.rings());
     feed.finish();
     assert_eq!(rings.in_flight_total(), 0, "slots leaked");
 }
 
-/// A fixed (non-auto) transfer-lane cap ignores `balance_thread` moves:
-/// the operator pinned the lane concurrency, the DRM only re-sizes the
-/// worker pools.
-#[test]
-fn fixed_transfer_lane_cap_ignores_thread_moves() {
-    use hyscale::core::TransferLaneGate;
-    let gate = std::sync::Arc::new(TransferLaneGate::new(2, false));
-    let (mut feed, pool, quotas) = ring_fixture::feed_with_gate(2, 1, 2, vec![8usize, 8, 8], gate);
-    let first = feed.obtain(0, &quotas).expect("first iteration");
-    first.recycle(&pool);
-    assert_eq!(feed.transfer_gate().cap(), 2);
-    feed.rebalance_threads(&ThreadAlloc {
-        sampler: 1,
-        loader: 6,
-        trainer: 1,
-    });
-    assert_eq!(
-        feed.transfer_gate().cap(),
-        2,
-        "a pinned lane cap must not follow the loader budget"
-    );
-    feed.finish();
-}
-
-/// Lane starvation: one lane's channel backed up (its ring slots are
-/// all held by the consumer) while the other lane idles — a DRM re-map
-/// fired in that state must neither deadlock nor corrupt service, and
-/// the starved lane's channel drain is surgical.
+/// Lane starvation: every ring slot is held by the consumer, so the
+/// producer is parked on slot acquisition with a gathered iteration in
+/// hand — a DRM re-map fired in that state must neither deadlock nor
+/// corrupt service, and its ring drain is surgical.
 #[test]
 fn lane_starvation_survives_remap_without_deadlock() {
     // ring depth 1 + held slots: after iteration 0 is obtained (and NOT
-    // recycled), both rings' single slots stay occupied, so the lanes
-    // block on slot acquisition and the gather stage backs work up into
-    // the lane channels (prefetch depth 1 bounds each channel at 1).
+    // recycled), both rings' single slots stay occupied, so the
+    // producer gathers iteration 1 and blocks on slot acquisition.
     let (mut feed, pool, quotas) = ring_fixture::feed(2, 1, 1);
     let held = feed.obtain(0, &quotas).expect("first iteration");
     assert_eq!(held.slots.len(), 2, "iteration 0 holds both rings' slots");
-    // give the producer time to wedge its lanes against the held slots
+    // give the producer time to wedge against the held slots
     std::thread::sleep(std::time::Duration::from_millis(50));
     assert_eq!(
         feed.buffered(),
         0,
-        "nothing can assemble while slots are held"
+        "nothing can be staged while slots are held"
     );
 
-    // re-map while the lanes are starved: lane 0's slice moves, lane 1
-    // settles
+    // re-map while the producer is starved: lane 0's slice moves,
+    // lane 1 settles
     let new_quotas = vec![10usize, 6, 8];
     feed.invalidate(1, new_quotas.clone());
     // release the held slots only now — the apply path must cope with a
@@ -554,16 +469,8 @@ fn lane_starvation_survives_remap_without_deadlock() {
     assert_eq!(next.quotas, new_quotas);
     assert_eq!(next.seed_sets[0].len(), 10);
     assert_eq!(next.seed_sets[1].len(), 6);
-    assert_eq!(
-        feed.rings().ring(0).channel_drains(),
-        1,
-        "starved lane drained"
-    );
-    assert_eq!(
-        feed.rings().ring(1).channel_drains(),
-        0,
-        "settled lane spared"
-    );
+    assert_eq!(feed.rings().ring(0).drains(), 1, "moved lane drained");
+    assert_eq!(feed.rings().ring(1).drains(), 0, "settled lane spared");
     next.recycle(&pool);
     // the feed keeps serving normally afterwards
     let after = feed.obtain(2, &new_quotas).expect("steady service resumes");
@@ -574,7 +481,7 @@ fn lane_starvation_survives_remap_without_deadlock() {
 }
 
 /// Single-slot rings (ring depth 1) still serve the feed correctly —
-/// the transfer stage just serializes against slot release.
+/// the producer just serializes against slot release.
 #[test]
 fn single_slot_rings_serve_and_drain() {
     let (mut feed, pool, quotas) = ring_fixture::feed(2, 1, 1);

@@ -295,8 +295,8 @@ fn thread_allocs_are_bitwise_identical_across_depths() {
 
 /// Live DRM with both move kinds firing mid-epoch: `balance_work`
 /// re-maps quotas (draining the queue *and* the changed lanes' staging
-/// rings) and `balance_thread` re-sizes the worker pools and transfer
-/// lane cap in place (draining nothing) — weights, losses, and the DRM
+/// rings) and `balance_thread` re-sizes the worker pools in place
+/// (draining nothing) — weights, losses, and the DRM
 /// trajectory itself must stay bitwise-identical to serial at prefetch
 /// depths {1, 2}, for each staging-ring depth {1, 2}, and the
 /// measured-wall trace must show the thread shift landing.

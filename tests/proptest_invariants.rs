@@ -13,7 +13,7 @@ use hyscale::gnn::aggregate::{
 use hyscale::gnn::Gradients;
 use hyscale::graph::{CsrGraph, GraphBuilder};
 use hyscale::sampler::{Block, NeighborSampler};
-use hyscale::tensor::{gemm_nn, Matrix};
+use hyscale::tensor::{gemm_nn, Matrix, Precision};
 use proptest::prelude::*;
 
 fn edge_list(max_v: usize, max_e: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -190,7 +190,6 @@ proptest! {
     /// envelope for arbitrary matrices.
     #[test]
     fn quantization_error_envelopes(rows in 1usize..10, cols in 1usize..20, s in 0u64..100) {
-        use hyscale::tensor::Precision;
         let x = hyscale::tensor::init::randn(rows, cols, s);
         let f16 = Precision::F16.round_trip(&x);
         for (a, b) in x.as_slice().iter().zip(f16.as_slice()) {
@@ -305,14 +304,14 @@ proptest! {
 
 /// Train two epochs of a small hybrid configuration under a scripted
 /// DRM schedule, returning the flattened weights and per-epoch losses.
-/// Every run of this function with the same `(depth, ring_depth,
-/// transfer_lanes)` and schedule must agree bitwise; runs with
-/// *different* depths and lane caps must agree too — that is the
+/// Every run of this function with the same `(precision, depth,
+/// ring_depth)` and schedule must agree bitwise; runs with *different*
+/// depths and ring depths at one precision must agree too — that is the
 /// property under test.
 fn run_scheduled(
+    precision: Precision,
     depth: usize,
     ring_depth: usize,
-    transfer_lanes: usize,
     schedule: &[ScriptedDrmEvent],
 ) -> (Vec<f32>, Vec<f32>) {
     let ds = hyscale::graph::Dataset::toy(41);
@@ -329,7 +328,7 @@ fn run_scheduled(
     cfg.train.max_functional_iters = Some(6);
     cfg.train.prefetch_depth = depth;
     cfg.train.staging_ring_depth = ring_depth;
-    cfg.train.transfer_lanes = transfer_lanes;
+    cfg.train.transfer_precision = precision;
     let mut t = HybridTrainer::new(cfg, ds);
     t.set_mapping(WorkloadSplit::new(32, 96, 2), ThreadAlloc::default_for(16));
     t.set_drm_schedule(schedule.to_vec());
@@ -343,15 +342,15 @@ proptest! {
     // PROPTEST_CASES=64 on main pushes.
     #![proptest_config(ProptestConfig::env_or(6))]
 
-    /// The randomized DRM-schedule equivalence harness, extended to the
-    /// multi-lane producer: a random interleaving of `balance_work`
-    /// (random deltas, including explicit zero-diff moves),
-    /// `balance_thread`, and no-op events at random iterations must
-    /// train bitwise-identical weights and losses to serial execution
-    /// for every transfer-lane cap {1, 2, 4} × prefetch depth {1, 2} ×
-    /// staging-ring depth {1, 2}. This is what licenses the surgical
-    /// invalidator to salvage queued batches instead of flushing them,
-    /// and the lane gate to re-time round-trips freely.
+    /// The randomized DRM-schedule equivalence harness: a random
+    /// interleaving of `balance_work` (random deltas, including explicit
+    /// zero-diff moves), `balance_thread`, and no-op events at random
+    /// iterations must train bitwise-identical weights and losses to
+    /// serial execution for every wire precision {F32, Int8} × prefetch
+    /// depth {1, 2} × staging-ring depth {1, 2}. This is what licenses
+    /// the surgical invalidator to salvage queued batches instead of
+    /// flushing them, and the re-slice to re-gather movers from the
+    /// wire view.
     #[test]
     fn random_drm_schedules_are_bitwise_equivalent(
         raw in prop::collection::vec(
@@ -376,20 +375,20 @@ proptest! {
                 ScriptedDrmEvent { epoch, iter, action }
             })
             .collect();
-        let (serial_params, serial_losses) = run_scheduled(0, 2, 0, &schedule);
-        for lanes in [1usize, 2, 4] {
+        for precision in [Precision::F32, Precision::Int8] {
+            let (serial_params, serial_losses) = run_scheduled(precision, 0, 2, &schedule);
             for ring_depth in [1usize, 2] {
                 for depth in [1usize, 2] {
-                    let (params, losses) = run_scheduled(depth, ring_depth, lanes, &schedule);
+                    let (params, losses) = run_scheduled(precision, depth, ring_depth, &schedule);
                     prop_assert_eq!(
                         &serial_params, &params,
-                        "lanes {} depth {} ring {} diverged from serial under {:?}",
-                        lanes, depth, ring_depth, schedule
+                        "{:?} depth {} ring {} diverged from serial under {:?}",
+                        precision, depth, ring_depth, schedule
                     );
                     prop_assert_eq!(
                         &serial_losses, &losses,
-                        "lanes {} depth {} ring {} changed the loss trajectory under {:?}",
-                        lanes, depth, ring_depth, schedule
+                        "{:?} depth {} ring {} changed the loss trajectory under {:?}",
+                        precision, depth, ring_depth, schedule
                     );
                 }
             }
@@ -399,12 +398,12 @@ proptest! {
 
 /// The lane-starvation script: a scripted schedule that repeatedly
 /// slams nearly the whole batch onto the CPU trainer (leaving each
-/// accelerator lane the 1-seed minimum — fat CPU batches, starved lane
-/// channels) and then back, at the tightest pipeline configuration
-/// (prefetch 1, ring 1) where one lane's channel is full while the
-/// others idle. Bitwise equivalence with serial must survive for every
-/// transfer-lane cap, and so must a prefetch depth deep enough for the
-/// channels to actually back up.
+/// accelerator lane the 1-seed minimum — fat CPU batches, starved
+/// accelerator batches) and then back, at the tightest pipeline
+/// configuration (prefetch 1, ring 1) where the producer waits on a
+/// single staging slot. Bitwise equivalence with serial must survive at
+/// both wire precisions, and so must a prefetch depth deep enough for
+/// the queue to actually back up.
 #[test]
 fn lane_starvation_script_is_bitwise_equivalent() {
     let schedule: Vec<ScriptedDrmEvent> = vec![
@@ -432,18 +431,18 @@ fn lane_starvation_script_is_bitwise_equivalent() {
             action: ScriptedDrm::BalanceWork { to_cpu: 0 },
         },
     ];
-    let (serial_params, serial_losses) = run_scheduled(0, 2, 0, &schedule);
-    for lanes in [1usize, 2, 4] {
+    for precision in [Precision::F32, Precision::Int8] {
+        let (serial_params, serial_losses) = run_scheduled(precision, 0, 2, &schedule);
         for (depth, ring_depth) in [(1usize, 1usize), (2, 1), (2, 2)] {
-            let (params, losses) = run_scheduled(depth, ring_depth, lanes, &schedule);
+            let (params, losses) = run_scheduled(precision, depth, ring_depth, &schedule);
             assert_eq!(
                 serial_params, params,
-                "starvation script: lanes {lanes} depth {depth} ring {ring_depth} \
+                "starvation script: {precision:?} depth {depth} ring {ring_depth} \
                  diverged from serial"
             );
             assert_eq!(
                 serial_losses, losses,
-                "starvation script: lanes {lanes} depth {depth} ring {ring_depth} \
+                "starvation script: {precision:?} depth {depth} ring {ring_depth} \
                  changed the loss trajectory"
             );
         }
