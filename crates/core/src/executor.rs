@@ -34,7 +34,7 @@ use crate::config::SystemConfig;
 use crate::drm::{DrmAction, DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
 use crate::perf_model::{compute_stage_times, PerfModel, StageInputs};
 use crate::prefetch::{IterationFeed, MatrixPool, PrepareCtx, PreparedIteration, StagingRings};
-use crate::protocol::TrainingRound;
+use crate::protocol::{join_trainers, TrainingRound};
 use crate::report::{EpochReport, IterationReport, WallStageTimes};
 use crate::stages::StageWorkers;
 use crate::sync::Synchronizer;
@@ -372,7 +372,7 @@ impl HybridTrainer {
                 })
                 .collect();
 
-            let round = Arc::new(TrainingRound::new(work.len()));
+            let round = TrainingRound::new(work.len());
             let model = &self.model;
             let sync = &self.sync;
             let workers = &self.workers;
@@ -385,8 +385,11 @@ impl HybridTrainer {
                     .iter()
                     .enumerate()
                     .map(|(slot, (idx, mb, x, labels))| {
-                        let round = Arc::clone(&round);
+                        let round = &round;
                         scope.spawn(move || {
+                            // A panic below aborts the round instead of
+                            // leaving the runtime and peers waiting.
+                            let _abort = round.abort_on_panic();
                             // The CPU trainer's kernels run under the
                             // trainer pool's width, accelerator trainers
                             // at width 1.
@@ -399,21 +402,24 @@ impl HybridTrainer {
                             let batch = labels.len();
                             let loss = out.loss;
                             let acc = out.accuracy;
-                            // DONE++, wait for broadcast (Listing 1)
-                            let _avg = round.trainer_done(slot, out.grads);
+                            // DONE++, wait for broadcast (Listing 1); a
+                            // peer's failure ends this trainer quietly.
+                            round.trainer_done(slot, out.grads).ok()?;
                             round.trainer_ack();
-                            (*idx, loss, acc, batch)
+                            Some((*idx, loss, acc, batch))
                         })
                     })
                     .collect();
-                // Runtime thread: synchronize + wait for ACKs
-                averaged = Some(round.synchronize(sync));
-                round.runtime_wait_acks();
-                for h in handles {
-                    results.push(h.join().expect("trainer thread panicked"));
+                // Runtime thread: synchronize + wait for ACKs. If a
+                // trainer aborted the round, joining re-raises its panic.
+                if let Ok(avg) = round.synchronize(sync) {
+                    if round.runtime_wait_acks().is_ok() {
+                        averaged = Some(avg);
+                    }
                 }
+                results.extend(join_trainers(handles).into_iter().flatten());
             });
-            let averaged = averaged.expect("synchronizer ran");
+            let averaged = averaged.expect("no trainer failed, so the round completed");
             // Identical update applied to the (conceptually replicated)
             // model — replicas stay in lock-step.
             self.model

@@ -7,11 +7,13 @@
 use crate::matrix::Matrix;
 
 /// In-place ReLU: `x = max(x, 0)`.
+///
+/// Written as a select rather than a conditional store, so it compiles
+/// without a branch (about half the activations are negative, which a
+/// branch mispredicts). Same predicate, so `-0.0` and NaN pass through.
 pub fn relu_inplace(x: &mut Matrix) {
     for v in x.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        *v = if *v < 0.0 { 0.0 } else { *v };
     }
 }
 
@@ -26,14 +28,13 @@ pub fn relu_backward_inplace(grad: &mut Matrix, pre_activation: &Matrix) {
         pre_activation.shape(),
         "relu_backward shape mismatch"
     );
+    // A select, not a conditional store: see `relu_inplace`.
     for (g, &z) in grad
         .as_mut_slice()
         .iter_mut()
         .zip(pre_activation.as_slice())
     {
-        if z <= 0.0 {
-            *g = 0.0;
-        }
+        *g = if z <= 0.0 { 0.0 } else { *g };
     }
 }
 
@@ -91,6 +92,57 @@ mod tests {
         let mut g = Matrix::from_vec(1, 4, vec![5.0, 5.0, 5.0, 5.0]);
         relu_backward_inplace(&mut g, &pre);
         assert_eq!(g.as_slice(), &[0.0, 0.0, 5.0, 5.0]);
+    }
+
+    /// Values where a ReLU's bits could differ: signed zeros, NaN,
+    /// infinities, subnormals and the extremes.
+    const EDGE_VALUES: [f32; 12] = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 2.0,
+        f32::MAX,
+        f32::MIN,
+        1.5,
+        -1.5,
+    ];
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn relu_select_matches_the_branch_form_bitwise() {
+        let mut m = Matrix::from_vec(1, EDGE_VALUES.len(), EDGE_VALUES.to_vec());
+        relu_inplace(&mut m);
+        let mut expect = EDGE_VALUES;
+        for v in &mut expect {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+        assert_eq!(bits(m.as_slice()), bits(&expect));
+    }
+
+    #[test]
+    fn relu_backward_select_matches_the_branch_form_bitwise() {
+        // Every gradient value against every pre-activation value.
+        let n = EDGE_VALUES.len();
+        let pre: Vec<f32> = (0..n * n).map(|i| EDGE_VALUES[i / n]).collect();
+        let grad: Vec<f32> = (0..n * n).map(|i| EDGE_VALUES[i % n]).collect();
+        let mut g = Matrix::from_vec(n, n, grad.clone());
+        relu_backward_inplace(&mut g, &Matrix::from_vec(n, n, pre.clone()));
+        let mut expect = grad;
+        for (e, &z) in expect.iter_mut().zip(&pre) {
+            if z <= 0.0 {
+                *e = 0.0;
+            }
+        }
+        assert_eq!(bits(g.as_slice()), bits(&expect));
     }
 
     #[test]

@@ -61,12 +61,12 @@ fn parallel_allreduce_matches_sequential() {
             let model = &model;
             s.spawn(move || {
                 let out = model.train_step(mb, x, l);
-                round.trainer_done(i, out.grads);
+                round.trainer_done(i, out.grads).unwrap();
                 round.trainer_ack();
             });
         }
-        par_avg = Some(round.synchronize(&sync));
-        round.runtime_wait_acks();
+        par_avg = Some(round.synchronize(&sync).unwrap());
+        round.runtime_wait_acks().unwrap();
     });
     let par_avg = par_avg.unwrap();
 

@@ -33,7 +33,7 @@ fn sixteen_trainers_fifty_iterations() {
                     if (i + iter as usize).is_multiple_of(3) {
                         thread::sleep(Duration::from_micros(50));
                     }
-                    let avg = round.trainer_done(i, grad(i as f32, 10 + i));
+                    let avg = round.trainer_done(i, grad(i as f32, 10 + i)).unwrap();
                     // expected weighted mean of 0..16 with weights 10+i
                     let total: usize = (0..n).map(|k| 10 + k).sum();
                     let expect: f32 =
@@ -45,9 +45,9 @@ fn sixteen_trainers_fifty_iterations() {
                     round.trainer_ack();
                 });
             }
-            let avg = round.synchronize(&sync);
+            let avg = round.synchronize(&sync).unwrap();
             assert_eq!(avg.batch_size, (0..n).map(|k| 10 + k).sum::<usize>());
-            round.runtime_wait_acks();
+            round.runtime_wait_acks().unwrap();
         });
     }
 }
@@ -71,12 +71,14 @@ fn average_is_arrival_order_independent() {
                     if (i * 7 + round_no) % 4 == 0 {
                         thread::sleep(Duration::from_micros(30 * (i as u64 + 1)));
                     }
-                    round.trainer_done(i, grad((i as f32 * 1.1).sin(), 5 * (i + 1)));
+                    round
+                        .trainer_done(i, grad((i as f32 * 1.1).sin(), 5 * (i + 1)))
+                        .unwrap();
                     round.trainer_ack();
                 });
             }
-            result = Some(round.synchronize(&sync));
-            round.runtime_wait_acks();
+            result = Some(round.synchronize(&sync).unwrap());
+            round.runtime_wait_acks().unwrap();
         });
         let bits: Vec<f32> = result.unwrap().d_weights[0].as_slice().to_vec();
         match &reference {
@@ -93,11 +95,11 @@ fn single_trainer_degenerate_round() {
     thread::scope(|s| {
         let r = Arc::clone(&round);
         s.spawn(move || {
-            let avg = r.trainer_done(0, grad(2.5, 7));
+            let avg = r.trainer_done(0, grad(2.5, 7)).unwrap();
             assert_eq!(avg.d_weights[0][(0, 0)], 2.5);
             r.trainer_ack();
         });
-        round.synchronize(&sync);
-        round.runtime_wait_acks();
+        round.synchronize(&sync).unwrap();
+        round.runtime_wait_acks().unwrap();
     });
 }
