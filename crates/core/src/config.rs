@@ -226,8 +226,8 @@ pub struct TrainConfig {
     pub prefetch_depth: usize,
     /// Per-accelerator staging-ring depth for the prefetch producer
     /// (clamped ≥ 1 when prefetching). Each accelerator owns this many
-    /// staging slots; a slot is held from the moment a gathered batch is
-    /// staged until its propagation completes, so `1` serializes staging
+    /// staging slots; a slot is held from the moment a batch starts being
+    /// gathered into it until its propagation completes, so `1` serializes staging
     /// with accelerator compute (a single staging buffer) while `2`
     /// double-buffers — batch `i+1` is staged while batch `i` computes.
     /// Bitwise-neutral like `prefetch_depth`: ring depth changes

@@ -428,11 +428,14 @@ impl HybridTrainer {
 
             // Feature matrices go back for reuse — accelerator batches
             // to their lane's staging-ring free list, the CPU batch to
-            // the shared pool: steady-state iterations allocate no
-            // fresh ones.
-            for (idx, m) in features.into_iter().enumerate() {
+            // the shared pool — and mini-batches to their trainer's role:
+            // steady-state iterations allocate no fresh ones.
+            for (idx, (m, batch)) in features.into_iter().zip(batches).enumerate() {
                 if let Some(m) = m {
                     ctx.release_buffer(idx, m, &self.pool);
+                }
+                if let Some(batch) = batch {
+                    self.pool.release_batch(idx, batch);
                 }
             }
             // Propagation done: free this batch's staging slots so the
@@ -734,11 +737,46 @@ mod tests {
             "feature buffers were not returned to the pool"
         );
         assert_eq!(t.rings().in_flight_total(), 0, "staging slots leaked");
+        assert!(
+            (0..3).all(|trainer| t.pool.idle_batches(trainer) > 0),
+            "a trainer role's mini-batches were not returned to the pool"
+        );
         assert_eq!(t.rings().depth(), 2);
         assert!(
             (0..t.rings().num_rings()).any(|a| t.rings().ring(a).take_buffer().is_some()),
             "no lane-local buffer was recycled to a staging ring"
         );
+    }
+
+    #[test]
+    fn a_seed_outside_the_graph_fails_the_epoch_with_its_vertex_named() {
+        // One train vertex id equals |V|. Sampling must reject it loudly
+        // through the sampler dispatch (five trainers), inline at depth 0
+        // and on the producer thread at depth 2, within a bounded time.
+        for depth in [0usize, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut ds = Dataset::toy(3);
+                let n = ds.graph.num_vertices() as u32;
+                ds.splits.train.truncate(40);
+                ds.splits.train.push(n);
+                let mut cfg = toy_config(OptFlags::full());
+                cfg.platform = PlatformConfig::paper_node(AcceleratorKind::u250(), 4);
+                cfg.train.prefetch_depth = depth;
+                let mut t = HybridTrainer::new(cfg, ds);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    t.train_epoch().functional_iters
+                }));
+                let _ = tx.send((n, outcome.map_err(crate::prefetch::panic_text)));
+            });
+            let (n, outcome) = rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("depth {depth}: the failing epoch never returned"));
+            let message = outcome.expect_err("a bad seed must fail the epoch");
+            let expected =
+                format!("seed vertex {n} is out of range: the graph has |V| = {n} vertices");
+            assert_eq!(message, expected, "depth {depth}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! ## One producer thread, staging rings, and the wire view
 //!
-//! The producer is one thread: **sample → gather → take staging slots
+//! The producer is one thread: **sample → take staging slots → gather
 //! → queue**. Accelerator trainers' feature rows are gathered straight
 //! from the accelerator-side feature view ([`PrepareCtx::accel_features`],
 //! a [`WireFeatures`] built once per trainer in `HybridTrainer::new`),
@@ -22,10 +22,11 @@
 //! work is left on the host.
 //!
 //! Each accelerator owns a [`StagingRing`] of
-//! `TrainConfig::staging_ring_depth` slots. After gathering an
+//! `TrainConfig::staging_ring_depth` slots. Before gathering an
 //! iteration the producer takes one slot per accelerator batch, and the
 //! consumer frees it by dropping the batch's [`SlotToken`] after
-//! propagation. At ring depth 2 the producer can stage batch `i+1`
+//! propagation. A batch is gathered into the slot it holds, so a
+//! producer waiting for a slot holds no gathered features. At ring depth 2 the producer can stage batch `i+1`
 //! while batch `i` computes (double buffering); at ring depth 1 it
 //! waits for batch `i`'s propagation first, exactly like the
 //! `ring_depth = 1` case of `hyscale_device::stage::StagingModel` and
@@ -59,23 +60,32 @@
 //!
 //! ## Allocation discipline
 //!
-//! Feature matrices cycle through a [`MatrixPool`], with ring-aware
-//! reuse on top: a recycled accelerator batch — after propagation, or
-//! discarded by a re-map or teardown — returns its buffer to that
-//! accelerator's [`StagingRing`] free list, so each accelerator
-//! re-gathers into the buffer it last used (lane-local reuse) and no
-//! buffer grows to another role's batch size; the shared pool is the
-//! fallback and serves the CPU trainer. Steady-state iterations perform
-//! zero feature-matrix allocations.
+//! Producer buffers are recycled by trainer role, at every point where
+//! an iteration's batches end — after propagation, or discarded by a
+//! re-map, a re-slice or teardown:
+//!
+//! * a feature matrix goes back with ring-aware reuse: an accelerator
+//!   batch's buffer to that accelerator's [`StagingRing`] free list (so
+//!   each accelerator re-gathers into the buffer it last used), the CPU
+//!   trainer's to the shared [`MatrixPool`];
+//! * a sampled [`MiniBatch`] goes back to its trainer's free list in the
+//!   [`MatrixPool`], and the next sampling refills it in place
+//!   ([`NeighborSampler::sample_into`]). The sampler's scratch (its
+//!   remap table and draw buffers) is pooled across roles, one per
+//!   sampling thread: its live part follows each hop's size.
+//!
+//! No buffer grows to another role's batch size, and steady-state
+//! iterations allocate no feature matrices and no sampler memory.
 //!
 //! ## Thread budget (DRM `balance_thread`)
 //!
-//! The producer dispatches its stages on the shared
-//! [`StageWorkers`] pools: sampling runs
-//! under the sampler pool's width, and the `n` per-trainer feature
-//! matrices fan out across loader lanes
-//! ([`rayon::WorkerGroup::fan_out`]) whose gathers are sharded across
-//! the feature matrix's NUMA row domains. A DRM `balance_thread` move
+//! The producer runs each stage as one dispatch on the shared
+//! [`StageWorkers`] pools. Sampling hands the trainers' batches out one
+//! at a time, in trainer order, to the sampler pool's threads, so the
+//! CPU trainer's large batch starts first and the others fill in around
+//! it. Loading gathers all trainers' rows as one concatenated range,
+//! split by row count across the loader pool and sharded across the
+//! feature matrix's NUMA row domains. A DRM `balance_thread` move
 //! re-sizes the pools in place ([`IterationFeed::rebalance_threads`]);
 //! widths only change wall-clock, so the queue keeps its prepared
 //! iterations, staging rings keep their occupied slots, and each
@@ -84,12 +94,13 @@
 
 use crate::drm::{QuotaDiff, ThreadAlloc};
 use crate::stages::StageWorkers;
-use hyscale_graph::features::gather_wire_numa_into;
+use hyscale_graph::features::{gather_jobs_numa_into, GatherJob};
 use hyscale_graph::Dataset;
-use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler};
+use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler, SampleScratch};
 use hyscale_tensor::quant::WireFeatures;
 use hyscale_tensor::Matrix;
 use parking_lot::{Condvar, Mutex};
+use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -97,8 +108,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A recycling pool of feature-matrix buffers shared between the
-/// producer thread and the consuming trainer.
+/// A recycling pool of producer buffers shared between the producer
+/// thread and the consuming trainer: feature matrices (one shared free
+/// list), sampled mini-batches (one free list per trainer, so each
+/// trainer's sampling refills buffers already sized to its own batch),
+/// and sampler scratch (one per sampling thread that has run at once).
 ///
 /// ```
 /// use hyscale_core::MatrixPool;
@@ -113,6 +127,9 @@ use std::time::Instant;
 #[derive(Default)]
 pub struct MatrixPool {
     free: Mutex<Vec<Matrix>>,
+    /// Indexed by trainer.
+    batches: Mutex<Vec<Vec<MiniBatch>>>,
+    scratch: Mutex<Vec<SampleScratch>>,
 }
 
 impl MatrixPool {
@@ -140,14 +157,52 @@ impl MatrixPool {
     pub fn idle(&self) -> usize {
         self.free.lock().len()
     }
+
+    /// A returned mini-batch of trainer `trainer`'s role, or an empty
+    /// one. Its contents are stale: refill it with
+    /// `NeighborSampler::sample_into`.
+    pub(crate) fn take_batch(&self, trainer: usize) -> MiniBatch {
+        self.batches
+            .lock()
+            .get_mut(trainer)
+            .and_then(Vec::pop)
+            .unwrap_or_default()
+    }
+
+    /// Return trainer `trainer`'s mini-batch for its role's next sampling.
+    pub(crate) fn release_batch(&self, trainer: usize, batch: MiniBatch) {
+        let mut roles = self.batches.lock();
+        if roles.len() <= trainer {
+            roles.resize_with(trainer + 1, Vec::new);
+        }
+        roles[trainer].push(batch);
+    }
+
+    /// Mini-batches currently idle in trainer `trainer`'s role.
+    #[cfg(test)]
+    pub(crate) fn idle_batches(&self, trainer: usize) -> usize {
+        self.batches.lock().get(trainer).map_or(0, Vec::len)
+    }
+
+    /// A returned sampler scratch, or an empty one. Scratch is shared by
+    /// all roles: its remap table's live part follows each hop's size, so
+    /// the pool holds one per sampling thread, each grown to the largest
+    /// batch it has served.
+    fn take_scratch(&self) -> SampleScratch {
+        self.scratch.lock().pop().unwrap_or_default()
+    }
+
+    fn release_scratch(&self, scratch: SampleScratch) {
+        self.scratch.lock().push(scratch);
+    }
 }
 
 /// One accelerator's device-side staging buffer, modeled as a bounded
 /// slot counter plus a lane-local free list of recycled feature buffers.
 ///
-/// A slot is *occupied* from the moment the producer stages a gathered
-/// batch until the consumer finishes that batch's propagation (and
-/// drops its [`SlotToken`]). With `depth = 2` the ring is a classic
+/// A slot is *occupied* from the moment the producer starts gathering a
+/// batch into it until the consumer finishes that batch's propagation
+/// (and drops its [`SlotToken`]). With `depth = 2` the ring is a classic
 /// double buffer: while the accelerator computes on batch `i`'s slot,
 /// batch `i+1` is staged into the second slot. With `depth = 1` there
 /// is nowhere to stage ahead, so staging and compute serialize.
@@ -448,28 +503,57 @@ impl PrepareCtx {
         }
     }
 
-    /// Gather each job `(trainer, input nodes, buffer)` into its buffer,
-    /// fanned out across loader lanes (one per trainer matrix, up to the
-    /// pool's width), each lane's gather sharded across the NUMA row
-    /// domains of `X` with thread shares weighted by the rows'
-    /// ownership histogram. Accelerator trainers read the wire view and
-    /// the CPU trainer reads host memory, so accelerator batches arrive
-    /// already at wire precision — bitwise what gathering and then
-    /// round-tripping would give. Returns `(trainer, matrix)` pairs.
-    fn gather_all(&self, jobs: Vec<(usize, &[u32], Matrix)>) -> Vec<(usize, Matrix)> {
-        let host = &self.dataset.data.features;
-        let jobs: Vec<_> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-        let gathered = Mutex::new(Vec::with_capacity(jobs.len()));
-        self.workers.loader().fan_out(jobs.len(), |k, lane| {
-            let (idx, nodes, mut x) = jobs[k].lock().take().expect("each job runs once");
-            let wire = match self.accel_of(idx) {
-                Some(_) => self.accel_features.as_ref(),
-                None => &WireFeatures::Host,
-            };
-            gather_wire_numa_into(&mut x, wire, host, nodes, self.numa_domains, lane);
-            gathered.lock().push((idx, x));
-        });
-        gathered.into_inner()
+    /// Sample one mini-batch per job `(trainer, seeds, stream)` into
+    /// that trainer role's recycled batch: one dispatch on
+    /// the sampler pool that hands out trainers one at a time, in order,
+    /// so the largest batch (the CPU trainer's, first) starts at once and
+    /// the other threads take the rest. Returns the batches in job order.
+    fn sample_all(&self, jobs: &[(usize, &[u32], u64)], pool: &MatrixPool) -> Vec<MiniBatch> {
+        self.workers.sampler().install(|| {
+            jobs.par_iter()
+                .map(|&(trainer, seeds, stream)| {
+                    let mut batch = pool.take_batch(trainer);
+                    let mut scratch = pool.take_scratch();
+                    self.sampler.sample_into(
+                        &self.dataset.graph,
+                        seeds,
+                        stream,
+                        &mut batch,
+                        &mut scratch,
+                    );
+                    pool.release_scratch(scratch);
+                    batch
+                })
+                .collect()
+        })
+    }
+
+    /// Gather each job `(trainer, input nodes, buffer)` into its buffer
+    /// in one loader dispatch: all jobs' rows form one range, split by
+    /// row count across the loader pool and sharded across the NUMA row
+    /// domains of `X` with thread shares weighted by the rows' ownership
+    /// histogram. Accelerator trainers read the wire view and the CPU
+    /// trainer reads host memory, so accelerator batches arrive already
+    /// at wire precision — bitwise what gathering and then round-tripping
+    /// would give.
+    fn gather_all(&self, jobs: &mut [(usize, &[u32], Matrix)]) {
+        let mut gathers: Vec<GatherJob<'_>> = jobs
+            .iter_mut()
+            .map(|(trainer, indices, out)| GatherJob {
+                wire: match self.accel_of(*trainer) {
+                    Some(_) => self.accel_features.as_ref(),
+                    None => &WireFeatures::Host,
+                },
+                out,
+                indices,
+            })
+            .collect();
+        gather_jobs_numa_into(
+            &mut gathers,
+            &self.dataset.data.features,
+            self.numa_domains,
+            self.workers.loader(),
+        );
     }
 
     /// Return trainer `idx`'s feature buffer for reuse: an accelerator's
@@ -485,11 +569,15 @@ impl PrepareCtx {
     }
 
     /// Discard an iteration: its buffers go back through
-    /// [`release_buffer`](Self::release_buffer), its slots free on drop.
+    /// [`release_buffer`](Self::release_buffer), its mini-batches to
+    /// their roles in `pool`, its slots free on drop.
     fn recycle(&self, prep: PreparedIteration, pool: &MatrixPool) {
-        for (idx, m) in prep.features.into_iter().enumerate() {
+        for (idx, (m, batch)) in prep.features.into_iter().zip(prep.batches).enumerate() {
             if let Some(m) = m {
                 self.release_buffer(idx, m, pool);
+            }
+            if let Some(batch) = batch {
+                pool.release_batch(idx, batch);
             }
         }
     }
@@ -528,7 +616,7 @@ pub struct PreparedIteration {
     pub features: Vec<Option<Matrix>>,
     /// Wall-clock seconds spent sampling.
     pub sample_wall_s: f64,
-    /// Wall-clock seconds of the loader fan-out (feature gathering).
+    /// Wall-clock seconds of the loader dispatch (feature gathering).
     pub load_wall_s: f64,
     /// Staging slots this batch occupies, one per accelerator batch —
     /// released (by drop) when the consumer finishes propagation. Empty
@@ -542,13 +630,26 @@ pub struct PreparedIteration {
 }
 
 impl PreparedIteration {
-    /// Return every pooled buffer for reuse and free the staging slots.
+    /// Return every pooled buffer and mini-batch for reuse and free the
+    /// staging slots.
     pub fn recycle(self, pool: &MatrixPool) {
         for m in self.features.into_iter().flatten() {
             pool.release(m);
         }
+        for (idx, batch) in self.batches.into_iter().enumerate() {
+            if let Some(batch) = batch {
+                pool.release_batch(idx, batch);
+            }
+        }
         // self.slots dropped here: slot tokens release their rings
     }
+}
+
+/// The sampler stream of the trainer ranked `rank` among iteration
+/// `iter`'s non-empty trainers.
+fn sample_stream(epoch: u64, iter: usize, rank: usize) -> u64 {
+    let base = epoch.wrapping_mul(1 << 20) + iter as u64 * 64;
+    base.wrapping_add(rank as u64 + 1)
 }
 
 /// Prepare iteration `iter` of `epoch`: slice seeds under `quotas`,
@@ -558,9 +659,25 @@ impl PreparedIteration {
 ///
 /// This is the single implementation of the producer stages — the
 /// serial (`depth = 0`) path calls it directly and the pipelined
-/// producer thread calls it before taking staging slots, which is what
-/// makes them bitwise-identical by construction.
+/// producer thread runs its two halves with the staging slots taken in
+/// between, which is what makes them bitwise-identical by construction.
 pub fn prepare_iteration(
+    ctx: &PrepareCtx,
+    order: &[u32],
+    epoch: u64,
+    iter: usize,
+    quotas: &[usize],
+    pool: &MatrixPool,
+) -> Option<PreparedIteration> {
+    let mut prep = sample_iteration(ctx, order, epoch, iter, quotas, pool)?;
+    load_iteration(ctx, &mut prep, pool);
+    Some(prep)
+}
+
+/// The first half of [`prepare_iteration`]: slice the seeds and sample
+/// one mini-batch per non-idle trainer, in one dispatch on the sampler
+/// pool. No features are gathered yet.
+fn sample_iteration(
     ctx: &PrepareCtx,
     order: &[u32],
     epoch: u64,
@@ -574,35 +691,41 @@ pub fn prepare_iteration(
     // the trace shows when a balance_thread move reached the producer.
     let threads = ctx.workers.observed();
 
-    // --- Sampling: n mini-batches, one per (non-empty) trainer, drawn
-    // under the sampler pool's width (nested parallel draws inherit it) ---
     let sample_start = Instant::now();
-    let stream_base = epoch.wrapping_mul(1 << 20) + iter as u64 * 64;
-    let seed_refs: Vec<&[u32]> = seed_sets.iter().map(|s| s.as_slice()).collect();
-    let batches: Vec<Option<MiniBatch>> = {
-        let non_empty: Vec<&[u32]> = seed_refs
-            .iter()
-            .copied()
-            .filter(|s| !s.is_empty())
-            .collect();
-        let mut sampled = ctx
-            .workers
-            .sampler()
-            .install(|| {
-                ctx.sampler
-                    .sample_many(&ctx.dataset.graph, &non_empty, stream_base)
-            })
-            .into_iter();
-        seed_refs
-            .iter()
-            .map(|s| if s.is_empty() { None } else { sampled.next() })
-            .collect()
-    };
+    let jobs: Vec<(usize, &[u32], u64)> = seed_sets
+        .iter()
+        .enumerate()
+        .filter(|(_, seeds)| !seeds.is_empty())
+        .enumerate()
+        .map(|(rank, (idx, seeds))| (idx, seeds.as_slice(), sample_stream(epoch, iter, rank)))
+        .collect();
+    let mut batches: Vec<Option<MiniBatch>> = seed_sets.iter().map(|_| None).collect();
+    for (&(idx, ..), batch) in jobs.iter().zip(ctx.sample_all(&jobs, pool)) {
+        batches[idx] = Some(batch);
+    }
     let sample_wall_s = sample_start.elapsed().as_secs_f64();
 
-    // --- Feature Loading into pooled buffers, one per non-idle trainer ---
+    Some(PreparedIteration {
+        iter,
+        quotas: quotas.to_vec(),
+        quota_epoch: 0,
+        features: seed_sets.iter().map(|_| None).collect(),
+        seed_sets,
+        batches,
+        sample_wall_s,
+        load_wall_s: 0.0,
+        slots: Vec::new(),
+        threads,
+    })
+}
+
+/// The second half of [`prepare_iteration`]: gather every sampled
+/// trainer's features into a pooled buffer, in one dispatch on the
+/// loader pool.
+fn load_iteration(ctx: &PrepareCtx, prep: &mut PreparedIteration, pool: &MatrixPool) {
     let load_start = Instant::now();
-    let jobs = batches
+    let mut loads: Vec<(usize, &[u32], Matrix)> = prep
+        .batches
         .iter()
         .enumerate()
         .filter_map(|(idx, b)| {
@@ -610,24 +733,11 @@ pub fn prepare_iteration(
                 .map(|mb| (idx, mb.input_nodes.as_slice(), ctx.buffer(idx, pool)))
         })
         .collect();
-    let mut features: Vec<Option<Matrix>> = batches.iter().map(|_| None).collect();
-    for (idx, x) in ctx.gather_all(jobs) {
-        features[idx] = Some(x);
+    ctx.gather_all(&mut loads);
+    for (idx, _, x) in loads {
+        prep.features[idx] = Some(x);
     }
-    let load_wall_s = load_start.elapsed().as_secs_f64();
-
-    Some(PreparedIteration {
-        iter,
-        quotas: quotas.to_vec(),
-        quota_epoch: 0,
-        seed_sets,
-        batches,
-        features,
-        sample_wall_s,
-        load_wall_s,
-        slots: Vec::new(),
-        threads,
-    })
+    prep.load_wall_s = load_start.elapsed().as_secs_f64();
 }
 
 /// Per-trainer batch accounting of one `reslice_iteration` call.
@@ -717,8 +827,10 @@ fn reslice_iteration(
             outcome.salvaged += usize::from(prep.batches[t].is_some());
             continue;
         }
-        outcome.flushed += usize::from(prep.batches[t].is_some());
-        prep.batches[t] = None;
+        if let Some(batch) = prep.batches[t].take() {
+            outcome.flushed += 1;
+            pool.release_batch(t, batch);
+        }
         if new_seed_sets[t].is_empty() {
             // trainer deactivated: its buffer goes back for reuse
             if let Some(m) = prep.features[t].take() {
@@ -730,25 +842,22 @@ fn reslice_iteration(
     }
 
     // --- Re-sample the rebuilt trainers under the producer's stream
-    // derivation: (epoch, iter) base plus the trainer's non-empty rank.
-    let stream_base = epoch.wrapping_mul(1 << 20) + prep.iter as u64 * 64;
+    // derivation: the trainer's non-empty rank in the new slicing.
     let sample_start = Instant::now();
-    let resampled: Vec<MiniBatch> = ctx.workers.sampler().install(|| {
-        rebuild
-            .iter()
-            .map(|&t| {
-                let stream = stream_base.wrapping_add(rank(&new_seed_sets, t) as u64 + 1);
-                ctx.sampler
-                    .sample(&ctx.dataset.graph, &new_seed_sets[t], stream)
-            })
-            .collect()
-    });
+    let jobs: Vec<(usize, &[u32], u64)> = rebuild
+        .iter()
+        .map(|&t| {
+            let stream = sample_stream(epoch, prep.iter, rank(&new_seed_sets, t));
+            (t, new_seed_sets[t].as_slice(), stream)
+        })
+        .collect();
+    let resampled = ctx.sample_all(&jobs, pool);
     prep.sample_wall_s += sample_start.elapsed().as_secs_f64();
 
     // --- Re-gather exactly like the producer, reusing each trainer's
     // existing buffer (then the lane free list, then the shared pool).
     let load_start = Instant::now();
-    let jobs = rebuild
+    let mut loads: Vec<(usize, &[u32], Matrix)> = rebuild
         .iter()
         .zip(&resampled)
         .map(|(&t, mb)| {
@@ -758,7 +867,8 @@ fn reslice_iteration(
             (t, mb.input_nodes.as_slice(), buf)
         })
         .collect();
-    for (t, x) in ctx.gather_all(jobs) {
+    ctx.gather_all(&mut loads);
+    for (t, _, x) in loads {
         prep.features[t] = Some(x);
     }
     prep.load_wall_s += load_start.elapsed().as_secs_f64();
@@ -818,15 +928,19 @@ impl Prefetcher {
                             break;
                         }
                         let Some(mut prep) =
-                            prepare_iteration(&ctx, &order, epoch, iter, &quotas, &pool)
+                            sample_iteration(&ctx, &order, epoch, iter, &quotas, &pool)
                         else {
                             break; // epoch seeds exhausted
                         };
-                        // The staging-slot gate: one slot per accelerator
-                        // batch, blocking while a ring's slots all hold
-                        // batches still in compute — ring depth 1
-                        // serializes staging with compute, depth 2
-                        // double-buffers them. A raised stop refuses
+                        // The staging-slot gate, before gathering: one
+                        // slot per accelerator batch, blocking while a
+                        // ring's slots all hold batches still in compute
+                        // — ring depth 1 serializes staging with compute,
+                        // depth 2 double-buffers them. A batch is gathered
+                        // into the slot it holds, so a blocked producer
+                        // holds no gathered features and feature memory
+                        // stays bounded by the ring depth however fast
+                        // the producer runs. A raised stop refuses
                         // instead of blocking; the iteration is recycled.
                         let lanes: Vec<usize> = (0..prep.batches.len())
                             .filter(|&idx| prep.batches[idx].is_some())
@@ -841,6 +955,7 @@ impl Prefetcher {
                                 }
                             }
                         }
+                        load_iteration(&ctx, &mut prep, &pool);
                         prep.quota_epoch = quota_epoch;
                         // Count the item *before* committing it to the
                         // channel: a consumer receiving it concurrently
@@ -1284,6 +1399,17 @@ impl IterationFeed {
     }
 }
 
+/// The payload of a caught panic as text.
+#[cfg(test)]
+pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => payload
+            .downcast::<&str>()
+            .map_or_else(|_| "<non-text panic>".to_string(), |s| s.to_string()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1506,6 +1632,58 @@ mod tests {
         assert!(discarded >= 2, "queued iterations were not recycled");
         assert_eq!(lane_buffers(0), discarded);
         assert_eq!(lane_buffers(1), discarded);
+        // each mini-batch went back to its own trainer's role: the queued
+        // iterations' and, if the producer was waiting at the slot gate,
+        // the one it had sampled but not yet gathered
+        for trainer in 0..3 {
+            let batches = pool.idle_batches(trainer);
+            assert!(
+                batches == discarded || batches == discarded + 1,
+                "trainer {trainer}: {batches} batches for {discarded} queued iterations"
+            );
+            assert_eq!(batches, pool.idle_batches(0), "trainer {trainer}");
+        }
+    }
+
+    #[test]
+    fn recycled_batches_refill_bitwise_and_stay_with_their_role() {
+        // Iterations prepared on recycled, dirty mini-batches equal ones
+        // prepared from an empty pool; the CPU trainer's batch is never
+        // handed to an accelerator trainer, whose batches are smaller.
+        let (ctx, order) = ctx();
+        let fresh = MatrixPool::new();
+        let pool = MatrixPool::new();
+        let quotas = [24usize, 4, 4];
+        for iter in 0..3 {
+            let a = prepare_iteration(&ctx, &order, 0, iter, &quotas, &fresh).unwrap();
+            let b = prepare_iteration(&ctx, &order, 0, iter, &quotas, &pool).unwrap();
+            for (t, (x, y)) in a.batches.iter().zip(&b.batches).enumerate() {
+                let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
+                assert_eq!(x.input_nodes, y.input_nodes, "iter {iter} trainer {t}");
+                for (bx, by) in x.blocks.iter().zip(&y.blocks) {
+                    assert_eq!(bx.edge_src, by.edge_src, "iter {iter} trainer {t}");
+                    assert_eq!(bx.edge_dst, by.edge_dst, "iter {iter} trainer {t}");
+                }
+            }
+            let cpu_nodes = b.batches[0].as_ref().unwrap().input_nodes.capacity();
+            b.recycle(&pool);
+            drop(a); // fresh pool: never reused
+            let cpu = pool.take_batch(0);
+            assert_eq!(
+                cpu.input_nodes.capacity(),
+                cpu_nodes,
+                "CPU batch left its role"
+            );
+            pool.release_batch(0, cpu);
+            for t in 1..3 {
+                let accel = pool.take_batch(t);
+                assert!(
+                    accel.input_nodes.capacity() < cpu_nodes,
+                    "trainer {t} got a CPU batch"
+                );
+                pool.release_batch(t, accel);
+            }
+        }
     }
 
     #[test]
@@ -1675,16 +1853,6 @@ mod tests {
         assert_eq!(feed.salvage_stats(), (0, 0), "cancelled burst flushed");
         second.recycle(&pool);
         feed.finish();
-    }
-
-    /// The payload of a caught panic as text.
-    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-        match payload.downcast::<String>() {
-            Ok(s) => *s,
-            Err(payload) => payload
-                .downcast::<&str>()
-                .map_or_else(|_| "<non-text panic>".to_string(), |s| s.to_string()),
-        }
     }
 
     #[test]

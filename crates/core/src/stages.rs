@@ -46,8 +46,8 @@ impl Stage {
 /// This is the execution-side twin of [`ThreadAlloc`]: the DRM engine
 /// mutates a `ThreadAlloc` (its model of the thread budget), and the
 /// executor [`apply`](Self::apply)s it here so the prefetch producer's
-/// dispatches — socket-sharded feature gathers, per-accelerator
-/// fan-out, sampler kernels — actually run at the budgeted widths.
+/// dispatches — the per-trainer sampling dispatch, the socket-sharded
+/// feature gather — actually run at the budgeted widths.
 /// Widths are atomics inside each group, so a re-size made by the
 /// consumer thread is observed by the producer thread on its next
 /// dispatch without draining the prefetch queue (prepared iterations

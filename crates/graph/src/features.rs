@@ -169,6 +169,39 @@ pub fn domain_histogram(indices: &[u32], rows_per_domain: usize, num_domains: us
 /// gathering from `x` and then running `Precision::round_trip_in_place`
 /// on the result gives (see `hyscale_tensor::quant`).
 ///
+/// One [`GatherJob`] of [`gather_jobs_numa_into`]; see there for the
+/// NUMA sharding.
+pub fn gather_wire_numa_into(
+    out: &mut Matrix,
+    wire: &WireFeatures,
+    x: &Matrix,
+    indices: &[u32],
+    num_domains: usize,
+    group: &rayon::WorkerGroup,
+) {
+    gather_jobs_numa_into(
+        &mut [GatherJob { out, wire, indices }],
+        x,
+        num_domains,
+        group,
+    );
+}
+
+/// One output of [`gather_jobs_numa_into`]: rows `indices` of `wire`'s
+/// view of `X`, written into `out`.
+pub struct GatherJob<'a> {
+    /// Reshaped to `indices.len() × f0` and overwritten.
+    pub out: &'a mut Matrix,
+    /// The view the rows are decoded from.
+    pub wire: &'a WireFeatures,
+    /// Source rows, in output order.
+    pub indices: &'a [u32],
+}
+
+/// Gather several matrices in one dispatch: the jobs' rows are treated
+/// as one concatenated row range, so `group`'s threads split the rows of
+/// all outputs by count instead of taking whole outputs each.
+///
 /// The source matrix `X` is modeled as range-partitioned across
 /// `num_domains` sockets (contiguous row domains, the dual-socket layout
 /// of the paper's evaluation node), and the gather is dispatched through
@@ -179,53 +212,83 @@ pub fn domain_histogram(indices: &[u32], rows_per_domain: usize, num_domains: us
 /// skew heavily to one socket gives that socket's pool the threads
 /// instead of idling the other socket's fair share.
 ///
-/// Every owning domain's threads sweep the full output range but copy
-/// only the rows whose *source* vertex lives in their domain (a domain
-/// owning no sampled rows is skipped outright), so each output row is
-/// written exactly once and the result is the same for any
-/// `(num_domains, group width)` and any skew.
-pub fn gather_wire_numa_into(
-    out: &mut Matrix,
-    wire: &WireFeatures,
+/// Every owning domain's threads sweep the full row range but copy only
+/// the rows whose *source* vertex lives in their domain (a domain owning
+/// no sampled rows is skipped outright), so each output row is written
+/// exactly once and the result is the same for any `(num_domains, group
+/// width)`, any skew, and any grouping of the jobs into calls.
+pub fn gather_jobs_numa_into(
+    jobs: &mut [GatherJob<'_>],
     x: &Matrix,
-    indices: &[u32],
     num_domains: usize,
     group: &rayon::WorkerGroup,
 ) {
     let dim = x.cols();
-    out.resize(indices.len(), dim);
+    // starts[j] is job j's first row in the concatenated range
+    let mut starts = Vec::with_capacity(jobs.len() + 1);
+    let mut total = 0;
+    for job in jobs.iter_mut() {
+        job.out.resize(job.indices.len(), dim);
+        starts.push(total);
+        total += job.indices.len();
+    }
+    starts.push(total);
+    let outs: Vec<usize> = jobs
+        .iter_mut()
+        .map(|job| job.out.as_mut_slice().as_mut_ptr() as usize)
+        .collect();
+    let jobs: &[GatherJob<'_>] = jobs;
+    // Copy the rows `s..e` of the concatenated range that `keep` accepts.
+    let copy_rows = |s: usize, e: usize, keep: &dyn Fn(u32) -> bool| {
+        let mut j = starts.partition_point(|&start| start <= s) - 1;
+        let mut row = s;
+        while row < e {
+            let job = &jobs[j];
+            let end = e.min(starts[j + 1]);
+            for (r, &src) in job.indices[row - starts[j]..end - starts[j]]
+                .iter()
+                .enumerate()
+            {
+                if !keep(src) {
+                    continue; // row owned by another socket's workers
+                }
+                let local = row - starts[j] + r;
+                // SAFETY: output row `local` of job `j` is concatenated
+                // row `row + r`, which lies in exactly one dispatched
+                // sub-range and, when sharded, is owned by exactly one
+                // domain (its source row's), so it has a unique writer;
+                // the outputs outlive the scoped threads of the dispatch.
+                let dst = unsafe {
+                    std::slice::from_raw_parts_mut((outs[j] as *mut f32).add(local * dim), dim)
+                };
+                job.wire.read_row(x, src as usize, dst);
+            }
+            row = end;
+            j += 1;
+        }
+    };
     if num_domains <= 1 {
-        // Flat memory model: one parallel sweep at this group's width.
-        group.install(|| {
-            out.as_mut_slice()
-                .par_chunks_mut(dim)
-                .zip(indices.par_iter())
-                .for_each(|(dst, &src)| wire.read_row(x, src as usize, dst));
-        });
+        // Flat memory model: one contiguous split at this group's width.
+        group.run(total, |s, e| copy_rows(s, e, &|_| true));
         return;
     }
     // Contiguous range partition of X's rows: socket d owns rows
-    // [d*per, (d+1)*per).
+    // [d*per, (d+1)*per). The domain is clamped like the histogram, so
+    // an index past the matrix reaches the last socket's `read_row` and
+    // panics there instead of leaving its output row unwritten.
     let per = x.rows().div_ceil(num_domains).max(1);
-    let hist = domain_histogram(indices, per, num_domains);
-    let base = out.as_mut_slice().as_mut_ptr() as usize;
-    group.run_sharded_weighted(indices.len(), &hist, |d, s, e| {
-        for (i, &src) in indices[s..e].iter().enumerate() {
-            // clamped like the histogram, so an index past the matrix
-            // reaches the last socket's `read_row` and panics there
-            // instead of leaving its output row unwritten
-            if (src as usize / per).min(num_domains - 1) != d {
-                continue; // row owned by another socket's workers
-            }
-            // SAFETY: source vertex `src` belongs to exactly one domain
-            // and output index `s + i` to exactly one sub-range of that
-            // domain, so this row has a unique writer; `out` outlives
-            // the scoped threads inside the dispatch.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut((base as *mut f32).add((s + i) * dim), dim)
-            };
-            wire.read_row(x, src as usize, dst);
+    let owner = |src: u32| (src as usize / per).min(num_domains - 1);
+    let mut hist = vec![0usize; num_domains];
+    for job in jobs {
+        for (h, n) in hist
+            .iter_mut()
+            .zip(domain_histogram(job.indices, per, num_domains))
+        {
+            *h += n;
         }
+    }
+    group.run_sharded_weighted(total, &hist, |d, s, e| {
+        copy_rows(s, e, &|src| owner(src) == d)
     });
 }
 
@@ -237,6 +300,37 @@ pub fn check_coverage(graph: &CsrGraph, data: &VertexData) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that set `HYSCALE_RAYON_THREADS`.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Holds `HYSCALE_RAYON_THREADS` set until dropped, then restores
+    /// the value it had before (such as one set for the whole run).
+    struct HostThreads {
+        previous: Option<std::ffi::OsString>,
+        _lock: MutexGuard<'static, ()>,
+    }
+
+    impl Drop for HostThreads {
+        fn drop(&mut self) {
+            match self.previous.take() {
+                Some(value) => std::env::set_var("HYSCALE_RAYON_THREADS", value),
+                None => std::env::remove_var("HYSCALE_RAYON_THREADS"),
+            }
+        }
+    }
+
+    /// Force `rayon::host_threads() == n` until the returned guard drops.
+    fn host_threads_override(n: usize) -> HostThreads {
+        let lock = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let previous = std::env::var_os("HYSCALE_RAYON_THREADS");
+        std::env::set_var("HYSCALE_RAYON_THREADS", n.to_string());
+        HostThreads {
+            previous,
+            _lock: lock,
+        }
+    }
 
     #[test]
     fn random_data_shapes() {
@@ -389,7 +483,7 @@ mod tests {
         // force 4 real threads so the disjoint-write SAFETY argument is
         // actually exercised concurrently. Sibling tests are
         // width-independent, so the transient override is harmless.
-        std::env::set_var("HYSCALE_RAYON_THREADS", "4");
+        let _threads = host_threads_override(4);
         let x = randn(256, 7, 23);
         let idx: Vec<u32> = (0..1200).map(|i| (i * 53) % 256).collect();
         let reference = gather_features(&x, &idx);
@@ -403,7 +497,6 @@ mod tests {
                 "concurrent NUMA gather diverged at {domains} domains"
             );
         }
-        std::env::remove_var("HYSCALE_RAYON_THREADS");
     }
 
     #[test]
@@ -427,7 +520,7 @@ mod tests {
     fn numa_gather_matches_flat_under_heavy_skew() {
         // Every sampled row lives on socket 0: the weighted dispatch
         // skips socket 1 entirely and must still be bitwise-identical.
-        std::env::set_var("HYSCALE_RAYON_THREADS", "4");
+        let _threads = host_threads_override(4);
         let x = randn(128, 6, 31);
         let skewed: Vec<u32> = (0..500).map(|i| (i * 13) % 64).collect(); // rows 0..64
         let reference = gather_features(&x, &skewed);
@@ -441,7 +534,63 @@ mod tests {
                 "skewed NUMA gather diverged at {domains} domains"
             );
         }
-        std::env::remove_var("HYSCALE_RAYON_THREADS");
+    }
+
+    #[test]
+    fn one_dispatch_over_many_jobs_matches_separate_gathers() {
+        use hyscale_tensor::Precision;
+        let _threads = host_threads_override(3);
+        let x = randn(90, 5, 41);
+        let int8 = WireFeatures::build(Precision::Int8, &x);
+        // uneven jobs, an empty one among them, rows skewed to socket 0
+        let index_sets: Vec<Vec<u32>> = vec![
+            (0..700).map(|i| (i * 17) % 90).collect(),
+            Vec::new(),
+            (0..31).map(|i| (i * 5) % 40).collect(),
+            vec![89, 0, 89],
+            (0..260).map(|i| (i * 11) % 45).collect(),
+        ];
+        let wires = [
+            &int8,
+            &WireFeatures::Host,
+            &int8,
+            &WireFeatures::Host,
+            &int8,
+        ];
+        let expected: Vec<Matrix> = index_sets
+            .iter()
+            .zip(wires)
+            .map(|(idx, wire)| {
+                let mut m = Matrix::uninit(0, 0);
+                let group = rayon::WorkerGroup::new("loader", 1);
+                gather_wire_numa_into(&mut m, wire, &x, idx, 1, &group);
+                m
+            })
+            .collect();
+        for domains in [1usize, 2, 3] {
+            for width in [1usize, 2, 3, 8] {
+                let group = rayon::WorkerGroup::new("loader", width);
+                let mut outs: Vec<Matrix> =
+                    (0..5).map(|k| Matrix::full(k + 2, 3, f32::NAN)).collect();
+                let mut jobs: Vec<GatherJob<'_>> = outs
+                    .iter_mut()
+                    .zip(&index_sets)
+                    .zip(wires)
+                    .map(|((out, indices), wire)| GatherJob { out, wire, indices })
+                    .collect();
+                gather_jobs_numa_into(&mut jobs, &x, domains, &group);
+                for (k, (got, want)) in outs.iter().zip(&expected).enumerate() {
+                    assert_eq!(got.shape(), want.shape(), "job {k}");
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "job {k} diverged at {domains} domains, width {width}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,6 @@ pub mod walk;
 pub use batcher::EpochBatcher;
 pub use estimate::expected_workload;
 pub use minibatch::{Block, MiniBatch, WorkloadStats};
-pub use neighbor::NeighborSampler;
+pub use neighbor::{NeighborSampler, SampleScratch};
 pub use saint::{EdgeSampler, NodeSampler};
 pub use walk::RandomWalkSampler;

@@ -14,7 +14,7 @@ use hyscale_graph::VertexId;
 ///
 /// Local indices: sources are `0..num_src`, destinations are
 /// `0..num_dst`, and destination `i` *is* source `i` (prefix property).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Block {
     /// Number of source vertices (rows of the layer's input features).
     pub num_src: usize,
@@ -90,7 +90,7 @@ impl Block {
 /// A full sampled mini-batch: blocks ordered input→output
 /// (`blocks[0]`'s sources are the vertices whose raw features are
 /// gathered; `blocks[L-1]`'s destinations are the seeds).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MiniBatch {
     /// Global vertex ids of `blocks[0]`'s source set — the rows the
     /// Feature Loader gathers from CPU memory (`V^0` in the paper).
