@@ -72,10 +72,11 @@
 //!   [`MatrixPool`], and the next sampling refills it in place
 //!   ([`NeighborSampler::sample_into`]). The sampler's scratch (its
 //!   remap table and draw buffers) is pooled across roles, one per
-//!   sampling thread: its live part follows each hop's size.
+//!   sampling thread; each pooled scratch grows to the largest batch.
 //!
-//! No buffer grows to another role's batch size, and steady-state
-//! iterations allocate no feature matrices and no sampler memory.
+//! No feature matrix or mini-batch grows to another role's batch size,
+//! and steady-state iterations allocate no feature matrices and no
+//! sampler memory.
 //!
 //! ## Thread budget (DRM `balance_thread`)
 //!
@@ -185,9 +186,9 @@ impl MatrixPool {
     }
 
     /// A returned sampler scratch, or an empty one. Scratch is shared by
-    /// all roles: its remap table's live part follows each hop's size, so
-    /// the pool holds one per sampling thread, each grown to the largest
-    /// batch it has served.
+    /// all roles, one per sampling thread that has run at once. Any
+    /// scratch may serve the largest batch, so over time each grows to
+    /// that batch's size.
     fn take_scratch(&self) -> SampleScratch {
         self.scratch.lock().pop().unwrap_or_default()
     }

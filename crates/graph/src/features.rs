@@ -162,31 +162,6 @@ pub fn domain_histogram(indices: &[u32], rows_per_domain: usize, num_domains: us
     hist
 }
 
-/// NUMA-aware variant of [`gather_features_into`], read through a wire
-/// view: `out = round_trip(X)[indices, :]`, each row decoded from
-/// `wire` (built from `x`; [`WireFeatures::Host`] copies `x` as is) as
-/// it is copied. The round-trip is per row, so this is bitwise what
-/// gathering from `x` and then running `Precision::round_trip_in_place`
-/// on the result gives (see `hyscale_tensor::quant`).
-///
-/// One [`GatherJob`] of [`gather_jobs_numa_into`]; see there for the
-/// NUMA sharding.
-pub fn gather_wire_numa_into(
-    out: &mut Matrix,
-    wire: &WireFeatures,
-    x: &Matrix,
-    indices: &[u32],
-    num_domains: usize,
-    group: &rayon::WorkerGroup,
-) {
-    gather_jobs_numa_into(
-        &mut [GatherJob { out, wire, indices }],
-        x,
-        num_domains,
-        group,
-    );
-}
-
 /// One output of [`gather_jobs_numa_into`]: rows `indices` of `wire`'s
 /// view of `X`, written into `out`.
 pub struct GatherJob<'a> {
@@ -198,9 +173,17 @@ pub struct GatherJob<'a> {
     pub indices: &'a [u32],
 }
 
-/// Gather several matrices in one dispatch: the jobs' rows are treated
-/// as one concatenated row range, so `group`'s threads split the rows of
-/// all outputs by count instead of taking whole outputs each.
+/// NUMA-aware variant of [`gather_features_into`] over several outputs,
+/// read through wire views: each job's `out = round_trip(X)[indices, :]`,
+/// each row decoded from the job's `wire` (built from `x`;
+/// [`WireFeatures::Host`] copies `x` as is) as it is copied. The
+/// round-trip is per row, so this is bitwise what gathering from `x` and
+/// then running `Precision::round_trip_in_place` on the result gives (see
+/// `hyscale_tensor::quant`).
+///
+/// All jobs run in one dispatch: their rows are treated as one
+/// concatenated row range, so `group`'s threads split the rows of all
+/// outputs by count instead of taking whole outputs each.
 ///
 /// The source matrix `X` is modeled as range-partitioned across
 /// `num_domains` sockets (contiguous row domains, the dual-socket layout
@@ -332,6 +315,19 @@ mod tests {
         }
     }
 
+    /// [`gather_jobs_numa_into`] with a single job.
+    fn gather_one(
+        out: &mut Matrix,
+        wire: &WireFeatures,
+        x: &Matrix,
+        indices: &[u32],
+        num_domains: usize,
+        group: &rayon::WorkerGroup,
+    ) {
+        let mut jobs = [GatherJob { out, wire, indices }];
+        gather_jobs_numa_into(&mut jobs, x, num_domains, group);
+    }
+
     #[test]
     fn random_data_shapes() {
         let d = VertexData::random(50, 16, 4, 1);
@@ -425,7 +421,7 @@ mod tests {
             for width in [1usize, 2, 5, 16] {
                 let group = rayon::WorkerGroup::new("loader", width);
                 let mut out = Matrix::full(10, 2, f32::NAN); // stale shape + contents
-                gather_wire_numa_into(&mut out, &WireFeatures::Host, &x, &idx, domains, &group);
+                gather_one(&mut out, &WireFeatures::Host, &x, &idx, domains, &group);
                 assert_eq!(
                     out.as_slice(),
                     reference.as_slice(),
@@ -456,7 +452,7 @@ mod tests {
                 for width in [1usize, 4] {
                     let group = rayon::WorkerGroup::new("loader", width);
                     let mut out = Matrix::full(5, 2, f32::NAN); // stale shape + contents
-                    gather_wire_numa_into(&mut out, &wire, &x, &idx, domains, &group);
+                    gather_one(&mut out, &wire, &x, &idx, domains, &group);
                     assert_eq!(
                         bits(&out),
                         bits(&expected),
@@ -474,7 +470,7 @@ mod tests {
         let x = randn(4, 3, 1);
         let group = rayon::WorkerGroup::new("loader", 1);
         let mut out = Matrix::uninit(0, 0);
-        gather_wire_numa_into(&mut out, &WireFeatures::Host, &x, &[1, 9, 2], 2, &group);
+        gather_one(&mut out, &WireFeatures::Host, &x, &[1, 9, 2], 2, &group);
     }
 
     #[test]
@@ -490,7 +486,7 @@ mod tests {
         for domains in [1usize, 2, 4] {
             let group = rayon::WorkerGroup::new("loader", 4);
             let mut out = Matrix::uninit(0, 0);
-            gather_wire_numa_into(&mut out, &WireFeatures::Host, &x, &idx, domains, &group);
+            gather_one(&mut out, &WireFeatures::Host, &x, &idx, domains, &group);
             assert_eq!(
                 out.as_slice(),
                 reference.as_slice(),
@@ -527,7 +523,7 @@ mod tests {
         for domains in [2usize, 4] {
             let group = rayon::WorkerGroup::new("loader", 4);
             let mut out = Matrix::full(3, 3, f32::NAN);
-            gather_wire_numa_into(&mut out, &WireFeatures::Host, &x, &skewed, domains, &group);
+            gather_one(&mut out, &WireFeatures::Host, &x, &skewed, domains, &group);
             assert_eq!(
                 out.as_slice(),
                 reference.as_slice(),
@@ -563,7 +559,7 @@ mod tests {
             .map(|(idx, wire)| {
                 let mut m = Matrix::uninit(0, 0);
                 let group = rayon::WorkerGroup::new("loader", 1);
-                gather_wire_numa_into(&mut m, wire, &x, idx, 1, &group);
+                gather_one(&mut m, wire, &x, idx, 1, &group);
                 m
             })
             .collect();
@@ -599,7 +595,7 @@ mod tests {
         let idx = vec![2, 0, 1, 2];
         let group = rayon::WorkerGroup::new("loader", 4);
         let mut out = Matrix::uninit(0, 0);
-        gather_wire_numa_into(&mut out, &WireFeatures::Host, &x, &idx, 8, &group);
+        gather_one(&mut out, &WireFeatures::Host, &x, &idx, 8, &group);
         assert_eq!(out.as_slice(), gather_features(&x, &idx).as_slice());
     }
 

@@ -418,6 +418,25 @@ mod tests {
     }
 
     #[test]
+    fn sibling_streams_give_independent_batches() {
+        // One iteration's trainers: disjoint seed sets on streams
+        // base+1 and base+2, sampled through one shared scratch.
+        let g = test_graph();
+        let sampler = NeighborSampler::paper_default(11);
+        let s1: Vec<VertexId> = (0..32).collect();
+        let s2: Vec<VertexId> = (32..64).collect();
+        let mut scratch = SampleScratch::default();
+        let mut batches = [MiniBatch::default(), MiniBatch::default()];
+        for (i, (seeds, batch)) in [&s1, &s2].into_iter().zip(&mut batches).enumerate() {
+            sampler.sample_into(&g, seeds, 100 + i as u64 + 1, batch, &mut scratch);
+        }
+        batches[0].validate().unwrap();
+        batches[1].validate().unwrap();
+        assert_eq!(batches[0].seeds, s1);
+        assert_eq!(batches[1].seeds, s2);
+    }
+
+    #[test]
     fn dedup_shrinks_input_nodes() {
         // In a dense community graph, two-hop neighbourhoods overlap, so
         // |V0| must be well below the no-dedup upper bound.
