@@ -25,7 +25,6 @@ fn config() -> SystemConfig {
             max_functional_iters: Some(1),
             transfer_precision: hyscale_tensor::Precision::F32,
             prefetch_depth: 0,
-            staging_ring_depth: 2,
         },
     }
 }

@@ -6,11 +6,12 @@
 //! GraphSAGE, hybrid CPU+FPGA organization, int8 wire precision — the
 //! paper's PCIe-bound regime where §VIII proposes quantization) twice
 //! with identical seeds: once fully serial (`prefetch_depth = 0`) and
-//! once with task-level feature prefetching through double-buffered
-//! staging rings. It reports measured iterations/second and speedup,
-//! plus the discrete-event simulator's predictions from the measured
-//! serial stage walls — both the idealized steady-state bound and the
-//! ring-gated walls at staging depths 1 and 2. Accelerator batches are
+//! once with task-level feature prefetching at depth 2 (the producer
+//! gathers batch `i+1` while batch `i` computes). It reports measured
+//! iterations/second and speedup, plus the discrete-event simulator's
+//! predictions from the measured serial stage walls — both the
+//! idealized steady-state bound and the walls with modeled staging
+//! rings of depth 1 and 2. Accelerator batches are
 //! gathered from the int8 feature view built at set-up, so the wire
 //! stage has no host cost to measure. On a single-core container the
 //! measured speedup degenerates to ~1x (there is no second core to
@@ -23,15 +24,15 @@
 //!
 //! Workload knobs (for experiments; defaults are the tracked config):
 //! `BENCH_SCALE`, `BENCH_HIDDEN`, `BENCH_BATCH`, `BENCH_PRECISION`
-//! (`int8`|`f16`|`f32`), `BENCH_RING` (staging-ring depth). `BENCH_SMOKE=1`
-//! shrinks the workload to a CI-sized smoke run (same JSON schema).
+//! (`int8`|`f16`|`f32`). `BENCH_SMOKE=1` shrinks the workload to a
+//! CI-sized smoke run (same JSON schema).
 
 use hyscale_core::config::AcceleratorKind;
 use hyscale_core::drm::{DrmEngine, WorkloadSplit};
-use hyscale_core::pipeline::{simulate_pipeline, simulate_pipeline_ringed, PipelineStageCosts};
+use hyscale_core::pipeline::{simulate_pipeline, PipelineStageCosts};
 use hyscale_core::{
-    EpochReport, HybridTrainer, IterationFeed, MatrixPool, OptFlags, PrepareCtx, StagingRings,
-    SystemConfig, ThreadAlloc, WallStageTimes,
+    EpochReport, HybridTrainer, IterationFeed, MatrixPool, OptFlags, PrepareCtx, SystemConfig,
+    ThreadAlloc, WallStageTimes,
 };
 use hyscale_gnn::GnnKind;
 use hyscale_graph::dataset::OGBN_PRODUCTS;
@@ -42,6 +43,9 @@ use hyscale_tensor::quant::WireFeatures;
 use std::sync::Arc;
 
 const DEPTH: usize = 2;
+
+/// Depth of the modeled device-side staging rings: double buffering.
+const RING_DEPTH: usize = 2;
 
 fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
@@ -84,7 +88,6 @@ fn config(prefetch_depth: usize) -> SystemConfig {
     cfg.train.hidden_dim = env_or("BENCH_HIDDEN", 32);
     cfg.train.max_functional_iters = Some(if smoke() { 3 } else { 6 });
     cfg.train.prefetch_depth = prefetch_depth;
-    cfg.train.staging_ring_depth = env_or("BENCH_RING", 2);
     cfg.train.transfer_precision = match std::env::var("BENCH_PRECISION").as_deref() {
         Ok("f16") => hyscale_tensor::Precision::F16,
         Ok("f32") => hyscale_tensor::Precision::F32,
@@ -111,8 +114,8 @@ fn functional_wall(reports: &[EpochReport]) -> f64 {
 /// of two `balance_work` moves — both shifting seeds from lane 0 to
 /// the CPU trainer, while lanes 1 and 2 keep their slices. The feed
 /// must coalesce the burst into one re-slice against the final quotas,
-/// salvage the untouched trainers' queued batches, and drain only lane
-/// 0's ring; the returned tuple is
+/// salvage the untouched trainers' queued batches, and re-slice only
+/// the two trainers whose slices moved; the returned tuple is
 /// `(batches_salvaged, batches_flushed, invalidation_cost_s,
 /// remaps_coalesced)` for the bench JSON.
 fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
@@ -131,7 +134,6 @@ fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
         hybrid: true,
         workers: Arc::new(hyscale_core::StageWorkers::from_alloc(&alloc)),
         numa_domains: 2,
-        rings: Arc::new(StagingRings::new(3, 2)),
     });
     let pool = Arc::new(MatrixPool::new());
     let old_quotas = vec![12usize, 8, 8, 8];
@@ -140,16 +142,17 @@ fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
         order,
         0,
         usize::MAX,
-        3,
+        DEPTH,
         Arc::clone(&pool),
         old_quotas.clone(),
     );
     let first = feed.obtain(0, &old_quotas).expect("iteration 0");
     first.recycle(&pool);
-    // Wait for the producer's steady fill (bounded: ~10 s): at ring
-    // depth 2 exactly two iterations can be fully prepared — each holds
-    // one slot per lane, the third blocks — so the salvage accounting
-    // is deterministic: 2 settled trainers × 2 queued iterations. Fail
+    // Wait for the producer's steady fill (bounded: ~10 s): at depth 2
+    // exactly two iterations can be fully prepared — each holds one
+    // prefetch credit, the third parks on the gate — so the salvage
+    // accounting is deterministic: 2 settled trainers × 2 queued
+    // iterations salvaged, 2 moved trainers × 2 re-sliced. Fail
     // loudly on timeout: salvaging 0 batches here would otherwise only
     // surface as an opaque assert in the CI JSON check.
     let fill_deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -174,14 +177,14 @@ fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
     let cost = feed.invalidation_wall_s();
     let coalesced = feed.remaps_coalesced();
     assert_eq!(
-        feed.rings().ring(0).drains(),
-        1,
-        "the moved lane's ring must drain exactly once for the burst"
+        (salvaged, flushed),
+        (4, 4),
+        "the burst must re-slice each queued iteration's two moved trainers once"
     );
     assert_eq!(
-        feed.rings().ring(1).drains() + feed.rings().ring(2).drains(),
-        0,
-        "untouched lanes' rings must not drain"
+        feed.restarts(),
+        1,
+        "the burst must restart the producer once"
     );
     feed.finish();
     (salvaged, flushed, cost, coalesced)
@@ -191,8 +194,8 @@ fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
 /// settled simulated stage times, once with the paper's bundled
 /// `max(T_Tran, T_TA)` estimate and once charging the accelerator task
 /// the visible (un-hidden) transfer share the executor derives from the
-/// configuration (ring depth ≥ 2 with TFP hides the wire behind
-/// accelerator compute, leaving only the excess). Returns
+/// configuration (TFP's modeled double-buffered staging hides the wire
+/// behind accelerator compute, leaving only the excess). Returns
 /// `(visible_ratio, quota_delta)` where `quota_delta` is how many more
 /// seeds the overlap-aware engine parks on the CPU trainer than the
 /// bundled one (positive = the visible wire time biased work away from
@@ -217,10 +220,10 @@ fn drm_overlap_scenario(prefetched: &[EpochReport], cfg: &SystemConfig) -> (f64,
     let mut th1 = ThreadAlloc::default_for(cfg.platform.total_threads);
     engine.adjust(&times, &mut bundled, &mut th1);
 
-    let visible = if !cfg.opt.tfp || cfg.train.staging_ring_depth <= 1 {
-        times.transfer
-    } else {
+    let visible = if cfg.opt.tfp {
         (times.transfer - times.train_accel).max(0.0)
+    } else {
+        times.transfer
     };
     let visible_ratio = if times.transfer > 0.0 {
         (visible / times.transfer).clamp(0.0, 1.0)
@@ -246,14 +249,10 @@ fn main() {
         .unwrap_or(1);
     let cfg = config(DEPTH);
     let numa_domains = cfg.platform.numa_domains();
-    // Report what actually runs: StagingRings clamps the depth to ≥ 1
-    // (and 0 would mean "unbounded" in simulate_pipeline_ringed terms —
-    // the opposite of a missing staging buffer).
-    let ring_depth = cfg.train.staging_ring_depth.max(1);
     let dataset = dataset();
     eprintln!(
         "bench_pipeline: {} @ 1/{} scale, {} epochs ({} warm-up), prefetch depth {DEPTH}, \
-         ring depth {ring_depth}, {cpus} cpu(s){}",
+         modeled ring depth {RING_DEPTH}, {cpus} cpu(s){}",
         dataset.spec.name,
         dataset.scale,
         epochs(),
@@ -275,15 +274,15 @@ fn main() {
     // The discrete-event pipeline model on the measured serial stage
     // walls: the steady-state speedup this stage balance supports at
     // depth `DEPTH` once enough cores exist to actually overlap, plus
-    // the ring-gated walls — depth-1 staging serializes staging with
-    // propagation, depth-2 double-buffers it.
+    // the walls with modeled staging rings — depth-1 staging serializes
+    // the transfer with propagation, depth-2 double-buffers it.
     let stage_means = WallStageTimes::mean_of(serial.iter().map(|r| &r.wall_stages));
     let costs = PipelineStageCosts::from_wall(&stage_means);
     let n = iters(&serial).max(2);
-    let serial_sim = simulate_pipeline(&costs, n, 0).makespan;
-    let predicted = serial_sim / simulate_pipeline(&costs, n, DEPTH).makespan;
-    let ring1_wall = simulate_pipeline_ringed(&costs, n, DEPTH, 1).makespan;
-    let ring2_wall = simulate_pipeline_ringed(&costs, n, DEPTH, 2).makespan;
+    let serial_sim = simulate_pipeline(&costs, n, 0, 0).makespan;
+    let predicted = serial_sim / simulate_pipeline(&costs, n, DEPTH, 0).makespan;
+    let ring1_wall = simulate_pipeline(&costs, n, DEPTH, 1).makespan;
+    let ring2_wall = simulate_pipeline(&costs, n, DEPTH, 2).makespan;
 
     let prefetch_means = WallStageTimes::mean_of(prefetched.iter().map(|r| &r.wall_stages));
     let overlap = prefetch_means.overlap_factor();
@@ -326,7 +325,7 @@ fn main() {
         serial.len(),
         iters(&serial),
         DEPTH,
-        ring_depth,
+        RING_DEPTH,
         serial_ips,
         prefetch_ips,
         serial_wall / serial_iters,

@@ -217,22 +217,17 @@ pub struct TrainConfig {
     /// from a view of the feature matrix built once at this precision.
     pub transfer_precision: Precision,
     /// Task-level Feature Prefetching depth `d` (paper §IV-B) for the
-    /// *real* executor pipeline: how many iterations of sampled +
-    /// gathered mini-batches the background producer may run ahead of
-    /// GNN propagation. `0` executes every stage serially on the
-    /// consumer thread. Any depth produces bitwise-identical training
-    /// to `0` — prefetching is pure wall-clock overlap (enforced by
-    /// `tests/equivalence.rs`).
+    /// *real* executor pipeline: how many iterations' features may be
+    /// alive at once — being gathered, queued, or in propagation. The
+    /// background producer samples the next iteration freely, then takes
+    /// one of `d` prefetch credits before it gathers; the credit comes
+    /// back when the iteration is recycled after propagation. So `1`
+    /// overlaps only sampling with propagation, `2` also gathers batch
+    /// `i+1` while batch `i` computes (double buffering), and `0`
+    /// executes every stage serially on the consumer thread. Any depth
+    /// produces bitwise-identical training to `0` — prefetching is pure
+    /// wall-clock overlap (enforced by `tests/equivalence.rs`).
     pub prefetch_depth: usize,
-    /// Per-accelerator staging-ring depth for the prefetch producer
-    /// (clamped ≥ 1 when prefetching). Each accelerator owns this many
-    /// staging slots; a slot is held from the moment a batch starts being
-    /// gathered into it until its propagation completes, so `1` serializes staging
-    /// with accelerator compute (a single staging buffer) while `2`
-    /// double-buffers — batch `i+1` is staged while batch `i` computes.
-    /// Bitwise-neutral like `prefetch_depth`: ring depth changes
-    /// wall-clock only (enforced by `tests/equivalence.rs`).
-    pub staging_ring_depth: usize,
 }
 
 impl TrainConfig {
@@ -249,7 +244,6 @@ impl TrainConfig {
             max_functional_iters: Some(8),
             transfer_precision: Precision::F32,
             prefetch_depth: 2,
-            staging_ring_depth: 2,
         }
     }
 

@@ -95,84 +95,6 @@ impl WorkloadSplit {
     }
 }
 
-/// Trainer-level diff of a `balance_work` re-mapping: which trainers'
-/// seed slices move when the per-iteration quotas change from `old` to
-/// `new`.
-///
-/// Within an iteration, trainer `t` consumes the contiguous slice
-/// `[prefix(t), prefix(t) + q[t])` of the epoch order (see
-/// [`EpochBatcher::iteration_seeds`](hyscale_sampler::EpochBatcher)), so
-/// its slice is unchanged exactly when both its prefix offset and its
-/// own quota are. Only the changed trainers need re-slicing after a
-/// `balance_work` move — settled trainers keep their prepared batches,
-/// and only the staging rings of *changed* accelerator lanes need a
-/// drain. A diff where nothing moved ([`is_noop`](Self::is_noop)) is
-/// the zero-diff `balance_work` the prefetcher treats as a no-op.
-///
-/// ```
-/// use hyscale_core::drm::QuotaDiff;
-///
-/// // CPU gains 4 seeds from accelerator lane 0; lanes 1 and 2 settle.
-/// let diff = QuotaDiff::between(&[12, 8, 8, 8], &[16, 4, 8, 8]);
-/// assert!(!diff.is_noop());
-/// assert_eq!(diff.num_changed(), 2); // CPU trainer + accel trainer 0
-/// assert_eq!(diff.changed_lanes(true, 3), vec![true, false, false]);
-/// assert!(QuotaDiff::between(&[8, 8], &[8, 8]).is_noop());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuotaDiff {
-    changed: Vec<bool>,
-}
-
-impl QuotaDiff {
-    /// Diff the per-trainer quotas `old` → `new`. A change in trainer
-    /// count or in the per-iteration total moves *every* slice (the
-    /// iteration's start offset depends on the total), so those diffs
-    /// mark all trainers changed.
-    pub fn between(old: &[usize], new: &[usize]) -> Self {
-        if old.len() != new.len() || old.iter().sum::<usize>() != new.iter().sum::<usize>() {
-            return Self {
-                changed: vec![true; new.len().max(old.len())],
-            };
-        }
-        let mut changed = Vec::with_capacity(new.len());
-        let (mut old_prefix, mut new_prefix) = (0usize, 0usize);
-        for (&o, &n) in old.iter().zip(new) {
-            changed.push(old_prefix != new_prefix || o != n);
-            old_prefix += o;
-            new_prefix += n;
-        }
-        Self { changed }
-    }
-
-    /// `true` when no trainer's slice moved (a zero-diff re-map).
-    pub fn is_noop(&self) -> bool {
-        !self.changed.iter().any(|&c| c)
-    }
-
-    /// Whether trainer `t`'s seed slice moved (out-of-range trainers
-    /// count as changed — a topology change invalidates everything).
-    pub fn trainer_changed(&self, t: usize) -> bool {
-        self.changed.get(t).copied().unwrap_or(true)
-    }
-
-    /// Number of trainers whose slice moved.
-    pub fn num_changed(&self) -> usize {
-        self.changed.iter().filter(|&&c| c).count()
-    }
-
-    /// Per-accelerator-lane change mask: lane `a` serves trainer
-    /// `a + usize::from(hybrid)` (the CPU trainer, when hybrid, holds
-    /// index 0 and has no staging lane). Only `true` lanes need their
-    /// staging ring drained.
-    pub fn changed_lanes(&self, hybrid: bool, num_lanes: usize) -> Vec<bool> {
-        let offset = usize::from(hybrid);
-        (0..num_lanes)
-            .map(|a| self.trainer_changed(a + offset))
-            .collect()
-    }
-}
-
 /// CPU worker-thread allocation across the CPU-resident tasks.
 ///
 /// This is the DRM's *model* of the thread budget; the executor mirrors
@@ -368,7 +290,7 @@ impl DrmEngine {
     ///
     /// Uses the paper's bundled `T_Accel = max(T_Tran, T_TA)` — the
     /// perfect-overlap assumption. When the pipeline *measures* (or
-    /// models) how much wire time the staging rings actually hid, use
+    /// models) how much wire time the device staging actually hid, use
     /// [`adjust_with_visible`](Self::adjust_with_visible) instead.
     pub fn adjust(
         &self,
@@ -388,12 +310,12 @@ impl DrmEngine {
     /// but the bundled accelerator task is charged
     /// `T_TA + visible_transfer` ([`StageTimes::accel_with_visible`])
     /// instead of `max(T_Tran, T_TA)`. `visible_transfer` is the
-    /// un-hidden share of the wire time — full `T_Tran` at staging-ring
-    /// depth 1 (nothing can hide), `(T_Tran - T_TA)⁺` under
-    /// double-buffered rings (reproducing `adjust` exactly), or the
+    /// un-hidden share of the wire time — full `T_Tran` without TFP
+    /// (nothing can hide), `(T_Tran - T_TA)⁺` under TFP's modeled
+    /// double-buffered staging (reproducing `adjust` exactly), or the
     /// measured `transfer_s - transfer_hidden_s` from a live
     /// [`WallStageTimes`](crate::report::WallStageTimes). A
-    /// bandwidth-bound lane (ring depth 1, fat batches) thus inflates
+    /// bandwidth-bound lane (no TFP, fat batches) thus inflates
     /// the accelerator task and biases `balance_work` toward moving
     /// seeds off the starved links.
     pub fn adjust_with_visible(
@@ -627,7 +549,7 @@ mod tests {
             "a fully-hidden wire must expose the CPU trainer as bottleneck: {b:?}"
         );
 
-        // ring-depth-1 pessimism: the whole wire is visible, so the
+        // no-overlap pessimism: the whole wire is visible, so the
         // accel task is charged compute + transfer and sheds even more
         // work toward the CPU than the bundled estimate.
         let mut ring1 = split();
@@ -793,46 +715,6 @@ mod tests {
             s.cpu_quota
         );
         assert!(last_gap < 1.5, "residual imbalance {last_gap}");
-    }
-
-    #[test]
-    fn quota_diff_marks_prefix_and_own_changes() {
-        // CPU gains from lane 0: lanes 1, 2 keep both prefix and quota.
-        let d = QuotaDiff::between(&[12, 8, 8, 8], &[16, 4, 8, 8]);
-        assert!(d.trainer_changed(0) && d.trainer_changed(1));
-        assert!(!d.trainer_changed(2) && !d.trainer_changed(3));
-        assert_eq!(d.num_changed(), 2);
-        assert_eq!(d.changed_lanes(true, 3), vec![true, false, false]);
-        // same quota but shifted prefix counts as changed
-        let d2 = QuotaDiff::between(&[8, 4, 8], &[4, 4, 12]);
-        assert!(d2.trainer_changed(1), "prefix moved under trainer 1");
-        assert_eq!(d2.num_changed(), 3);
-    }
-
-    #[test]
-    fn quota_diff_zero_diff_is_noop() {
-        let d = QuotaDiff::between(&[8, 8, 8], &[8, 8, 8]);
-        assert!(d.is_noop());
-        assert_eq!(d.num_changed(), 0);
-        assert_eq!(d.changed_lanes(true, 2), vec![false, false]);
-    }
-
-    #[test]
-    fn quota_diff_total_or_topology_change_invalidates_all() {
-        // total changed: every iteration's start offset moves
-        let d = QuotaDiff::between(&[8, 8, 8], &[8, 8, 4]);
-        assert_eq!(d.num_changed(), 3);
-        // trainer count changed
-        let d2 = QuotaDiff::between(&[8, 8], &[8, 4, 4]);
-        assert_eq!(d2.num_changed(), 3);
-        assert!(d2.trainer_changed(9), "out-of-range counts as changed");
-    }
-
-    #[test]
-    fn quota_diff_lane_mask_respects_hybrid_offset() {
-        let d = QuotaDiff::between(&[12, 8, 8, 8], &[16, 4, 8, 8]);
-        // non-hybrid: trainer 0 *is* lane 0
-        assert_eq!(d.changed_lanes(false, 4), vec![true, true, false, false]);
     }
 
     #[test]

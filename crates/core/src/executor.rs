@@ -33,7 +33,7 @@
 use crate::config::SystemConfig;
 use crate::drm::{DrmAction, DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
 use crate::perf_model::{compute_stage_times, PerfModel, StageInputs};
-use crate::prefetch::{IterationFeed, MatrixPool, PrepareCtx, PreparedIteration, StagingRings};
+use crate::prefetch::{IterationFeed, MatrixPool, PrepareCtx};
 use crate::protocol::{join_trainers, TrainingRound};
 use crate::report::{EpochReport, IterationReport, WallStageTimes};
 use crate::stages::StageWorkers;
@@ -63,7 +63,6 @@ pub struct HybridTrainer {
     drm: DrmEngine,
     sync: Synchronizer,
     pool: Arc<MatrixPool>,
-    rings: Arc<StagingRings>,
     /// The accelerator-side feature view: the feature matrix at the
     /// wire precision, built once here so the §VIII round-trip costs
     /// set-up time instead of per-iteration host work.
@@ -92,10 +91,6 @@ impl HybridTrainer {
         let (split, threads) = pm.initial_mapping(&dataset.spec);
         let workers = Arc::new(StageWorkers::from_alloc(&threads));
         let drm = DrmEngine::new(cfg.opt.hybrid);
-        let rings = Arc::new(StagingRings::new(
-            cfg.platform.num_accelerators,
-            cfg.train.staging_ring_depth,
-        ));
         let accel_features = Arc::new(WireFeatures::build(
             cfg.train.transfer_precision,
             &dataset.data.features,
@@ -114,7 +109,6 @@ impl HybridTrainer {
             drm,
             sync: Synchronizer::new(),
             pool: Arc::new(MatrixPool::new()),
-            rings,
             accel_features,
             next_epoch: 0,
             drm_schedule: Vec::new(),
@@ -163,13 +157,6 @@ impl HybridTrainer {
     /// pipeline dispatches on; widths mirror [`Self::thread_alloc`].
     pub fn workers(&self) -> &StageWorkers {
         &self.workers
-    }
-
-    /// The per-accelerator staging rings the prefetch producer
-    /// double-buffers through (`TrainConfig::staging_ring_depth` slots
-    /// each).
-    pub fn rings(&self) -> &StagingRings {
-        &self.rings
     }
 
     /// The replicated model (read access for evaluation).
@@ -279,7 +266,7 @@ impl HybridTrainer {
             .max(1);
 
         let prefetch_depth = self.cfg.train.prefetch_depth;
-        let ctx = Arc::new(PrepareCtx {
+        let ctx = PrepareCtx {
             dataset: Arc::clone(&self.dataset),
             batcher: self.batcher.clone(),
             sampler: self.sampler.clone(),
@@ -287,10 +274,9 @@ impl HybridTrainer {
             hybrid: self.cfg.opt.hybrid,
             workers: Arc::clone(&self.workers),
             numa_domains: self.cfg.platform.numa_domains(),
-            rings: Arc::clone(&self.rings),
-        });
+        };
         let mut feed = IterationFeed::new(
-            Arc::clone(&ctx),
+            Arc::new(ctx),
             Arc::clone(&order),
             epoch,
             functional_iters,
@@ -325,16 +311,7 @@ impl HybridTrainer {
             let Some(prepared) = feed.obtain(iter, &quotas) else {
                 break; // epoch seeds exhausted
             };
-            let PreparedIteration {
-                seed_sets,
-                batches,
-                features,
-                sample_wall_s,
-                load_wall_s,
-                slots,
-                threads: observed_threads,
-                ..
-            } = prepared;
+            let batches = &prepared.batches;
 
             // --- Workload accounting for the timing layer ---
             let zero = WorkloadStats::zero(self.dims.len() - 1);
@@ -363,8 +340,8 @@ impl HybridTrainer {
             };
             let work: Vec<(usize, &MiniBatch, &Matrix, Vec<u32>)> = batches
                 .iter()
-                .zip(&features)
-                .zip(&seed_sets)
+                .zip(&prepared.features)
+                .zip(&prepared.seed_sets)
                 .enumerate()
                 .filter_map(|(idx, ((b, f), seeds))| match (b.as_ref(), f.as_ref()) {
                     (Some(b), Some(f)) if !seeds.is_empty() => Some((idx, b, f, labels_of(seeds))),
@@ -426,21 +403,13 @@ impl HybridTrainer {
                 .apply_gradients(&averaged, self.optimizer.as_mut());
             let train_wall_s = train_wall.elapsed().as_secs_f64();
 
-            // Feature matrices go back for reuse — accelerator batches
-            // to their lane's staging-ring free list, the CPU batch to
-            // the shared pool — and mini-batches to their trainer's role:
-            // steady-state iterations allocate no fresh ones.
-            for (idx, (m, batch)) in features.into_iter().zip(batches).enumerate() {
-                if let Some(m) = m {
-                    ctx.release_buffer(idx, m, &self.pool);
-                }
-                if let Some(batch) = batch {
-                    self.pool.release_batch(idx, batch);
-                }
-            }
-            // Propagation done: free this batch's staging slots so the
-            // producer can stage the next batch into them.
-            drop(slots);
+            // Propagation done: feature matrices and mini-batches go
+            // back to their trainer's role (steady-state iterations
+            // allocate no fresh ones), and the prefetch credit is
+            // released so the producer can gather the next iteration.
+            let (sample_wall_s, load_wall_s) = (prepared.sample_wall_s, prepared.load_wall_s);
+            let observed_threads = prepared.threads;
+            prepared.recycle(&self.pool);
 
             let total_seeds: usize = results.iter().map(|r| r.3).sum();
             last_loss = results.iter().map(|r| r.1 * r.3 as f32).sum::<f32>() / total_seeds as f32;
@@ -477,15 +446,15 @@ impl HybridTrainer {
             // depths and host core counts (the equivalence harness
             // compares trajectories), so the estimate may depend only on
             // the simulated times and the configured overlap machinery:
-            // no TFP or a single staging slot can hide nothing (the
-            // whole transfer rides the critical path, biasing
-            // balance_work away from bandwidth-bound lanes); ring depth
-            // ≥ 2 hides the wire behind accelerator compute, leaving
+            // without TFP nothing is hidden (the whole transfer rides
+            // the critical path, biasing balance_work away from
+            // bandwidth-bound lanes); with TFP the modeled double-buffered
+            // staging hides the wire behind accelerator compute, leaving
             // only the excess — Algorithm 1's max(T_Tran, T_TA) bundle.
-            let visible_transfer = if !self.cfg.opt.tfp || self.cfg.train.staging_ring_depth <= 1 {
-                times.transfer
-            } else {
+            let visible_transfer = if self.cfg.opt.tfp {
                 (times.transfer - times.train_accel).max(0.0)
+            } else {
+                times.transfer
             };
             let action = if self.cfg.opt.drm {
                 self.drm.adjust_with_visible(
@@ -630,7 +599,6 @@ mod tests {
                 max_functional_iters: Some(4),
                 transfer_precision: hyscale_tensor::Precision::F32,
                 prefetch_depth: 0,
-                staging_ring_depth: 2,
             },
         }
     }
@@ -730,21 +698,15 @@ mod tests {
             r.trace.iter().all(|it| it.wall.iter_s > 0.0),
             "iteration wall unmeasured"
         );
-        // buffers are primed for the next epoch: the CPU batch back in
-        // the shared pool, accelerator batches on their lanes' rings
+        // buffers are primed for the next epoch: every trainer role's
+        // feature buffers and mini-batches are back in the pool
         assert!(
-            t.pool.idle() > 0,
-            "feature buffers were not returned to the pool"
+            (0..3).all(|trainer| t.pool.idle(trainer) > 0),
+            "a trainer role's feature buffers were not returned to the pool"
         );
-        assert_eq!(t.rings().in_flight_total(), 0, "staging slots leaked");
         assert!(
             (0..3).all(|trainer| t.pool.idle_batches(trainer) > 0),
             "a trainer role's mini-batches were not returned to the pool"
-        );
-        assert_eq!(t.rings().depth(), 2);
-        assert!(
-            (0..t.rings().num_rings()).any(|a| t.rings().ring(a).take_buffer().is_some()),
-            "no lane-local buffer was recycled to a staging ring"
         );
     }
 
@@ -775,6 +737,38 @@ mod tests {
             let message = outcome.expect_err("a bad seed must fail the epoch");
             let expected =
                 format!("seed vertex {n} is out of range: the graph has |V| = {n} vertices");
+            assert_eq!(message, expected, "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn a_label_outside_the_classes_fails_the_epoch_at_every_depth() {
+        // The first seed of epoch 0 (the CPU trainer's batch in iteration
+        // 0) gets a label equal to the class count, so the loss's bounds
+        // check panics inside a trainer thread. At depths 1 and 2 the
+        // producer is parked on the prefetch credit gate when the trainer
+        // dies: unwinding must release the credit, and the epoch must
+        // fail with the loss's message within a bounded time.
+        for depth in [0usize, 1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut cfg = toy_config(OptFlags::full());
+                cfg.train.prefetch_depth = depth;
+                let mut t = HybridTrainer::new(cfg, Dataset::toy(3));
+                let v = t.batcher.epoch_order(0)[0] as usize;
+                let data = &mut Arc::get_mut(&mut t.dataset).expect("sole owner").data;
+                let classes = data.num_classes;
+                data.labels[v] = classes as u32;
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    t.train_epoch().functional_iters
+                }));
+                let _ = tx.send((classes, outcome.map_err(crate::prefetch::panic_text)));
+            });
+            let (classes, outcome) = rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("depth {depth}: the failing epoch never returned"));
+            let message = outcome.expect_err("a bad label must fail the epoch");
+            let expected = format!("label {classes} out of range for {classes} classes");
             assert_eq!(message, expected, "depth {depth}");
         }
     }

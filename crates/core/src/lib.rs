@@ -21,14 +21,13 @@
 //!   `balance_thread` decisions steer the *real* pipeline.
 //! * [`prefetch`] — Task-level Feature Prefetching as a *real*
 //!   pipeline (paper §IV-B): one background producer thread samples
-//!   (under the sampler pool), NUMA-shards feature gathers across socket
-//!   domains — accelerator batches straight from the wire-precision
-//!   feature view — fans per-trainer matrices out over loader lanes, and
-//!   stages each iteration through per-accelerator
-//!   [`prefetch::StagingRing`]s into a bounded queue overlapped with GNN
-//!   propagation — double-buffered staging, pool-recycled buffers,
-//!   DRM-aware queue + ring invalidation, bitwise-identical to serial
-//!   execution.
+//!   (under the sampler pool) and NUMA-shards feature gathers across
+//!   socket domains — accelerator batches straight from the
+//!   wire-precision feature view — into a queue overlapped with GNN
+//!   propagation. One prefetch credit per live iteration bounds the
+//!   producer; buffers are recycled per trainer role, and DRM re-maps
+//!   re-slice queued iterations surgically, bitwise-identical to serial
+//!   execution. Device-side staging stays a model in [`pipeline`].
 //! * [`executor`] — the hybrid trainer: 4-stage pipeline (Sampling →
 //!   Feature Loading → Data Transfer → GNN Propagation) with Two-stage
 //!   Feature Prefetching (paper §IV-B), functional training plus
@@ -54,11 +53,9 @@ pub mod stages;
 pub mod sync;
 
 pub use config::{AcceleratorKind, OptFlags, PlatformConfig, SystemConfig, TrainConfig};
-pub use drm::{DrmEngine, QuotaDiff, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
+pub use drm::{DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
 pub use executor::HybridTrainer;
 pub use perf_model::PerfModel;
-pub use prefetch::{
-    IterationFeed, MatrixPool, PrepareCtx, PreparedIteration, SlotToken, StagingRing, StagingRings,
-};
+pub use prefetch::{Credits, IterationFeed, MatrixPool, PrepareCtx, PreparedIteration};
 pub use report::{EpochReport, IterationReport, WallStageTimes};
 pub use stages::{StageTimes, StageWorkers};

@@ -138,9 +138,7 @@ pub fn compute_stage_times(
 /// entry per attached link). Eq. 8's stage time is the max over these
 /// — valid only when the links actually run in parallel; a single
 /// transfer thread serving every link round-robin pays the *sum*
-/// instead. These per-lane times are the inputs to
-/// [`crate::pipeline::simulate_pipeline_multilane`], which models that
-/// difference explicitly.
+/// instead.
 pub fn per_lane_transfer_times(platform: &PlatformConfig, inputs: &StageInputs<'_>) -> Vec<f64> {
     let f0 = inputs.dims[0];
     inputs
@@ -263,53 +261,6 @@ impl PerfModel {
         } else {
             t.serial_iteration()
         }
-    }
-
-    /// Predicted per-accelerator wire times for a given mapping — the
-    /// lane inputs to
-    /// [`crate::pipeline::simulate_pipeline_multilane`], letting the
-    /// model quantify what concurrent transfer lanes buy over a single
-    /// serialized transfer thread for this dataset and split.
-    pub fn lane_transfer_times(&self, dataset: &DatasetSpec, split: &WorkloadSplit) -> Vec<f64> {
-        let cpu_stats = self.analytic_workload(dataset, split.cpu_quota);
-        let accel_stats: Vec<WorkloadStats> = (0..split.num_accelerators)
-            .map(|i| self.analytic_workload(dataset, split.accel_quota(i)))
-            .collect();
-        let dims = self.dims(dataset);
-        let inputs = StageInputs {
-            cpu_stats: &cpu_stats,
-            accel_stats: &accel_stats,
-            dims: &dims,
-            width_factor: self.train.model.update_width_factor(),
-            model_bytes: self.model_bytes(dataset),
-            sampling_on_accel: split.sampling_on_accel,
-            precision: self.train.transfer_precision,
-        };
-        per_lane_transfer_times(&self.platform, &inputs)
-    }
-
-    /// Predicted producer-side cost of one DRM `balance_work`
-    /// invalidation under this model's stage times: the prepared window
-    /// (`prefetch_depth + ring_depth` iterations in queue and staging
-    /// slots) redoes the work of the trainers whose quota moved.
-    /// `changed_trainers / total_trainers` is the surgical share; pass
-    /// `changed = total` for the pre-surgical full flush. The gap
-    /// between the two is exactly what per-trainer re-slicing saves per
-    /// re-mapping event.
-    pub fn invalidation_cost(
-        &self,
-        dataset: &DatasetSpec,
-        split: &WorkloadSplit,
-        threads: &ThreadAlloc,
-        prefetch_depth: usize,
-        ring_depth: usize,
-        changed_trainers: usize,
-    ) -> f64 {
-        let times = self.stage_times_runtime(dataset, split, threads);
-        let costs = crate::pipeline::PipelineStageCosts::from_stage_times(&times);
-        let total = 1 + split.num_accelerators;
-        let share = changed_trainers.min(total) as f64 / total as f64;
-        crate::pipeline::invalidation_cost(&costs, prefetch_depth, ring_depth, share)
     }
 
     /// Optimal sampling share for the accelerators given the CPU
@@ -473,44 +424,6 @@ mod tests {
         let (split, _) = pm.initial_mapping(&OGBN_PAPERS100M);
         assert_eq!(split.cpu_quota, 0);
         assert_eq!(split.total, 4 * 1024);
-    }
-
-    #[test]
-    fn partial_invalidation_costs_less_than_full() {
-        let cfg = fpga_cfg(GnnKind::GraphSage);
-        let pm = PerfModel::new(&cfg);
-        let (split, threads) = pm.initial_mapping(&OGBN_PRODUCTS);
-        let total = 1 + split.num_accelerators;
-        let one_lane = pm.invalidation_cost(&OGBN_PRODUCTS, &split, &threads, 2, 2, 2);
-        let full = pm.invalidation_cost(&OGBN_PRODUCTS, &split, &threads, 2, 2, total);
-        assert!(one_lane > 0.0, "a real re-map is never free");
-        assert!(
-            one_lane < full * 0.5,
-            "2-of-{total} trainers re-sliced should cost well under a full flush: \
-             {one_lane} vs {full}"
-        );
-        // zero changed trainers = zero-diff no-op
-        assert_eq!(
-            pm.invalidation_cost(&OGBN_PRODUCTS, &split, &threads, 2, 2, 0),
-            0.0
-        );
-    }
-
-    #[test]
-    fn lane_transfer_times_match_the_stage_max() {
-        let cfg = fpga_cfg(GnnKind::GraphSage);
-        let pm = PerfModel::new(&cfg);
-        let (split, threads) = pm.initial_mapping(&OGBN_PRODUCTS);
-        let lanes = pm.lane_transfer_times(&OGBN_PRODUCTS, &split);
-        assert_eq!(lanes.len(), split.num_accelerators);
-        assert!(lanes.iter().all(|&t| t > 0.0));
-        // Eq. 8's stage time is exactly the slowest lane
-        let t = pm.stage_times(&OGBN_PRODUCTS, &split, &threads);
-        let max = lanes.iter().copied().fold(0.0f64, f64::max);
-        assert!((t.transfer - max).abs() < 1e-12);
-        // symmetric quotas -> near-symmetric lanes (remainder seeds only)
-        let min = lanes.iter().copied().fold(f64::INFINITY, f64::min);
-        assert!(max / min < 1.1, "lanes implausibly skewed: {lanes:?}");
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! Propagation. [`crate::pipeline`] *simulates* that overlap with a
 //! discrete-event model; this module *executes* it: a background
 //! producer walks the epoch's batch plan, prepares iterations, and
-//! feeds them through a bounded channel of depth `d`
-//! (`TrainConfig::prefetch_depth`) to the consuming trainer.
+//! queues them for the consuming trainer.
 //!
-//! ## One producer thread, staging rings, and the wire view
+//! ## One producer thread, one prefetch credit gate, and the wire view
 //!
-//! The producer is one thread: **sample → take staging slots → gather
-//! → queue**. Accelerator trainers' feature rows are gathered straight
+//! The producer is one thread: **sample → take a credit → gather →
+//! queue**. Accelerator trainers' feature rows are gathered straight
 //! from the accelerator-side feature view ([`PrepareCtx::accel_features`],
 //! a [`WireFeatures`] built once per trainer in `HybridTrainer::new`),
 //! so a gathered accelerator batch already holds the wire-precision
@@ -21,16 +20,20 @@
 //! bit for bit (see `hyscale_tensor::quant`), so no per-iteration wire
 //! work is left on the host.
 //!
-//! Each accelerator owns a [`StagingRing`] of
-//! `TrainConfig::staging_ring_depth` slots. Before gathering an
-//! iteration the producer takes one slot per accelerator batch, and the
-//! consumer frees it by dropping the batch's [`SlotToken`] after
-//! propagation. A batch is gathered into the slot it holds, so a
-//! producer waiting for a slot holds no gathered features. At ring depth 2 the producer can stage batch `i+1`
-//! while batch `i` computes (double buffering); at ring depth 1 it
-//! waits for batch `i`'s propagation first, exactly like the
-//! `ring_depth = 1` case of `hyscale_device::stage::StagingModel` and
-//! [`crate::pipeline::simulate_pipeline_ringed`].
+//! The prefetch depth `d` (`TrainConfig::prefetch_depth`) is the number
+//! of iterations whose features may be alive at once — being gathered,
+//! queued, or in propagation. The feed owns `d` [`Credits`]. The producer
+//! samples iteration `i+1` freely, then takes one credit before it
+//! gathers; the credit rides in the [`PreparedIteration`] and is
+//! released when the iteration is recycled (after propagation, on a
+//! discard or re-map flush, at `finish`, or while a panic unwinds). So a
+//! producer parked on the gate holds no gathered features, and feature
+//! memory stays bounded by `d` however fast the producer runs. At
+//! `d = 2` the producer gathers batch `i+1` while batch `i` computes;
+//! at `d = 1` it waits for batch `i`'s propagation first. Device-side
+//! staging buffers are a hardware effect and stay a *model*
+//! (`hyscale_device::stage::StagingModel`,
+//! [`crate::pipeline::simulate_pipeline`]'s `ring_depth`).
 //!
 //! ## Determinism contract
 //!
@@ -39,8 +42,8 @@
 //! [`EpochBatcher::plan`](hyscale_sampler::EpochBatcher) and every
 //! sampler draw is keyed by `(seed, epoch, iter, trainer)` streams, so a
 //! batch prepared three iterations ahead on a worker thread is
-//! bitwise-identical to one prepared inline, and staging rings only
-//! re-time when a prepared batch is handed over.
+//! bitwise-identical to one prepared inline, and the credit gate only
+//! re-times when a prepared batch is handed over.
 //! The one hazard is the DRM engine re-balancing `quotas` mid-epoch:
 //! prepared iterations carry the quotas *and the quota epoch* (re-map
 //! generation counter) they were built under, so a straggler from an
@@ -49,27 +52,26 @@
 //! ([`IterationFeed::invalidate`]): a burst of `balance_work` events is
 //! folded into one re-slice against the final quotas, which re-slices
 //! only the trainers whose seed slice actually moved — settled
-//! trainers keep their queued batches, pooled matrices, and staging
-//! slots — and drains only the rings of changed lanes; a zero-diff
-//! re-map (including a burst that cancels out) is a no-op, and only
-//! missed-event recovery pays the full flush (`drain_all`).
+//! trainers keep their queued batches and pooled matrices, and a
+//! re-sliced iteration keeps its one credit. A zero-diff re-map
+//! (including a burst that cancels out) is a no-op, and only
+//! missed-event recovery pays the full flush.
 //! `tests/equivalence.rs` and the randomized DRM-schedule harness in
 //! `tests/proptest_invariants.rs` pin weights bitwise across prefetch
-//! depths {0, 1, 2, 4} × ring depths {1, 2} × wire precisions
-//! {F32, Int8}, including across re-mapping events.
+//! depths {0, 1, 2, 3, 4} × wire precisions {F32, Int8}, including
+//! across re-mapping events.
 //!
 //! ## Allocation discipline
 //!
-//! Producer buffers are recycled by trainer role, at every point where
-//! an iteration's batches end — after propagation, or discarded by a
-//! re-map, a re-slice or teardown:
+//! Producer buffers are recycled by trainer role in the [`MatrixPool`],
+//! through one path ([`PreparedIteration::recycle`]) at every point
+//! where an iteration's batches end — after propagation, or discarded
+//! by a re-map, a re-slice or teardown:
 //!
-//! * a feature matrix goes back with ring-aware reuse: an accelerator
-//!   batch's buffer to that accelerator's [`StagingRing`] free list (so
-//!   each accelerator re-gathers into the buffer it last used), the CPU
-//!   trainer's to the shared [`MatrixPool`];
-//! * a sampled [`MiniBatch`] goes back to its trainer's free list in the
-//!   [`MatrixPool`], and the next sampling refills it in place
+//! * a feature matrix goes back to its trainer's feature free list, so
+//!   each trainer re-gathers into a buffer already sized to its batch;
+//! * a sampled [`MiniBatch`] goes back to its trainer's batch free list,
+//!   and the next sampling refills it in place
 //!   ([`NeighborSampler::sample_into`]). The sampler's scratch (its
 //!   remap table and draw buffers) is pooled across roles, one per
 //!   sampling thread; each pooled scratch grows to the largest batch.
@@ -89,11 +91,10 @@
 //! feature matrix's NUMA row domains. A DRM `balance_thread` move
 //! re-sizes the pools in place ([`IterationFeed::rebalance_threads`]);
 //! widths only change wall-clock, so the queue keeps its prepared
-//! iterations, staging rings keep their occupied slots, and each
-//! [`PreparedIteration`] records the [`ThreadAlloc`] it was built under
-//! so traces show the shift land.
+//! iterations and their credits, and each [`PreparedIteration`] records
+//! the [`ThreadAlloc`] it was built under so traces show the shift land.
 
-use crate::drm::{QuotaDiff, ThreadAlloc};
+use crate::drm::ThreadAlloc;
 use crate::stages::StageWorkers;
 use hyscale_graph::features::{gather_jobs_numa_into, GatherJob};
 use hyscale_graph::Dataset;
@@ -104,33 +105,49 @@ use parking_lot::{Condvar, Mutex};
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// A recycling pool of producer buffers shared between the producer
-/// thread and the consuming trainer: feature matrices (one shared free
-/// list), sampled mini-batches (one free list per trainer, so each
-/// trainer's sampling refills buffers already sized to its own batch),
-/// and sampler scratch (one per sampling thread that has run at once).
+/// thread and the consuming trainer: feature matrices and sampled
+/// mini-batches (one free list per trainer each, so a trainer's gather
+/// and sampling refill buffers already sized to its own batch), and
+/// sampler scratch (one per sampling thread that has run at once).
 ///
 /// ```
 /// use hyscale_core::MatrixPool;
 ///
 /// let pool = MatrixPool::new();
-/// let mut x = pool.acquire();      // arbitrary shape — overwrite before reading
+/// let mut x = pool.acquire(1);     // arbitrary shape — overwrite before reading
 /// x.resize(128, 16);
-/// pool.release(x);                 // back to the pool after propagation
-/// assert_eq!(pool.idle(), 1);
-/// assert_eq!(pool.acquire().shape(), (128, 16)); // allocation reused
+/// pool.release(1, x);              // back to trainer 1's role after propagation
+/// assert_eq!(pool.idle(1), 1);
+/// assert_eq!(pool.idle(0), 0);     // roles don't share
+/// assert_eq!(pool.acquire(1).shape(), (128, 16)); // allocation reused
 /// ```
 #[derive(Default)]
 pub struct MatrixPool {
-    free: Mutex<Vec<Matrix>>,
+    /// Indexed by trainer.
+    features: Mutex<Vec<Vec<Matrix>>>,
     /// Indexed by trainer.
     batches: Mutex<Vec<Vec<MiniBatch>>>,
     scratch: Mutex<Vec<SampleScratch>>,
+}
+
+/// Pop from trainer `trainer`'s free list.
+fn take_role<T>(roles: &Mutex<Vec<Vec<T>>>, trainer: usize) -> Option<T> {
+    roles.lock().get_mut(trainer).and_then(Vec::pop)
+}
+
+/// Push onto trainer `trainer`'s free list.
+fn put_role<T>(roles: &Mutex<Vec<Vec<T>>>, trainer: usize, item: T) {
+    let mut roles = roles.lock();
+    if roles.len() <= trainer {
+        roles.resize_with(trainer + 1, Vec::new);
+    }
+    roles[trainer].push(item);
 }
 
 impl MatrixPool {
@@ -139,44 +156,34 @@ impl MatrixPool {
         Self::default()
     }
 
-    /// Take a buffer (arbitrary shape/contents) or mint an empty one.
-    /// Callers must `resize`/overwrite before reading — `gather_features_into`
-    /// does both.
-    pub fn acquire(&self) -> Matrix {
-        self.free
-            .lock()
-            .pop()
-            .unwrap_or_else(|| Matrix::uninit(0, 0))
+    /// Take a feature buffer of trainer `trainer`'s role (arbitrary
+    /// shape/contents) or mint an empty one. Callers must
+    /// `resize`/overwrite before reading — the gather does both.
+    pub fn acquire(&self, trainer: usize) -> Matrix {
+        take_role(&self.features, trainer).unwrap_or_else(|| Matrix::uninit(0, 0))
     }
 
-    /// Return a buffer for reuse.
-    pub fn release(&self, m: Matrix) {
-        self.free.lock().push(m);
+    /// Return trainer `trainer`'s feature buffer for its role's next
+    /// gather.
+    pub fn release(&self, trainer: usize, m: Matrix) {
+        put_role(&self.features, trainer, m);
     }
 
-    /// Number of buffers currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.lock().len()
+    /// Feature buffers currently idle in trainer `trainer`'s role.
+    pub fn idle(&self, trainer: usize) -> usize {
+        self.features.lock().get(trainer).map_or(0, Vec::len)
     }
 
     /// A returned mini-batch of trainer `trainer`'s role, or an empty
     /// one. Its contents are stale: refill it with
     /// `NeighborSampler::sample_into`.
     pub(crate) fn take_batch(&self, trainer: usize) -> MiniBatch {
-        self.batches
-            .lock()
-            .get_mut(trainer)
-            .and_then(Vec::pop)
-            .unwrap_or_default()
+        take_role(&self.batches, trainer).unwrap_or_default()
     }
 
     /// Return trainer `trainer`'s mini-batch for its role's next sampling.
     pub(crate) fn release_batch(&self, trainer: usize, batch: MiniBatch) {
-        let mut roles = self.batches.lock();
-        if roles.len() <= trainer {
-            roles.resize_with(trainer + 1, Vec::new);
-        }
-        roles[trainer].push(batch);
+        put_role(&self.batches, trainer, batch);
     }
 
     /// Mini-batches currently idle in trainer `trainer`'s role.
@@ -198,263 +205,66 @@ impl MatrixPool {
     }
 }
 
-/// One accelerator's device-side staging buffer, modeled as a bounded
-/// slot counter plus a lane-local free list of recycled feature buffers.
-///
-/// A slot is *occupied* from the moment the producer starts gathering a
-/// batch into it until the consumer finishes that batch's propagation
-/// (and drops its [`SlotToken`]). With `depth = 2` the ring is a classic
-/// double buffer: while the accelerator computes on batch `i`'s slot,
-/// batch `i+1` is staged into the second slot. With `depth = 1` there
-/// is nowhere to stage ahead, so staging and compute serialize.
-///
-/// ```
-/// use hyscale_core::prefetch::StagingRing;
-/// use std::sync::atomic::{AtomicBool, Ordering};
-///
-/// let ring = StagingRing::new(2);           // double buffer
-/// let stop = AtomicBool::new(false);
-/// assert!(ring.acquire(&stop));             // batch i staged
-/// assert!(ring.acquire(&stop));             // batch i+1 staged while i computes
-/// assert_eq!(ring.in_flight(), 2);
-/// stop.store(true, Ordering::Release);
-/// assert!(!ring.acquire(&stop));            // full ring + stop: refuse, don't block
-/// ring.release_slot();                      // batch i propagation done
-/// assert_eq!(ring.in_flight(), 1);
-/// ```
-pub struct StagingRing {
+/// The prefetch gate of one [`IterationFeed`]: `depth` credits, one
+/// held by every iteration whose features are alive (being gathered,
+/// queued, or in propagation).
+pub struct Credits {
     depth: usize,
-    state: Mutex<RingState>,
+    free: Mutex<usize>,
     cv: Condvar,
-    drains: AtomicUsize,
 }
 
-#[derive(Default)]
-struct RingState {
-    in_flight: usize,
-    free: Vec<Matrix>,
-}
-
-impl StagingRing {
-    /// A ring of `depth` staging slots (clamped ≥ 1).
-    pub fn new(depth: usize) -> Self {
+impl Credits {
+    fn new(depth: usize) -> Self {
         Self {
-            depth: depth.max(1),
-            state: Mutex::new(RingState::default()),
+            depth,
+            free: Mutex::new(depth),
             cv: Condvar::new(),
-            drains: AtomicUsize::new(0),
         }
     }
 
-    /// Number of staging slots.
-    pub fn depth(&self) -> usize {
-        self.depth
+    /// Credits currently held by live iterations.
+    pub fn held(&self) -> usize {
+        self.depth - *self.free.lock()
     }
 
-    /// Slots currently occupied by a staged or computing batch.
-    pub fn in_flight(&self) -> usize {
-        self.state.lock().in_flight
-    }
-
-    /// Times this ring has been drained by a DRM re-mapping event.
-    pub fn drains(&self) -> usize {
-        self.drains.load(Ordering::Relaxed)
-    }
-
-    /// Occupy a slot, blocking while the ring is full. Returns `false`
-    /// (without occupying) once `stop` is raised — a producer being shut
-    /// down must not wedge on a slot that will never free.
-    pub fn acquire(&self, stop: &AtomicBool) -> bool {
-        let mut st = self.state.lock();
+    /// Take a credit, parking while none is free. Returns `None` once
+    /// `stop` is raised — a producer being shut down must not wedge on a
+    /// credit that will never come back.
+    fn take(self: &Arc<Self>, stop: &AtomicBool) -> Option<Credit> {
+        let mut free = self.free.lock();
         loop {
             if stop.load(Ordering::Acquire) {
-                return false;
+                return None;
             }
-            if st.in_flight < self.depth {
-                st.in_flight += 1;
-                return true;
+            if *free > 0 {
+                *free -= 1;
+                return Some(Credit(Arc::clone(self)));
             }
-            self.cv.wait(&mut st);
+            self.cv.wait(&mut free);
         }
     }
 
-    /// Occupy a slot only if one is free right now — never blocks.
-    /// This is the salvage path's acquire: while the consumer re-slices
-    /// queued iterations there is no producer running to free slots, so
-    /// blocking here could deadlock; a newly-activated lane that cannot
-    /// stage immediately makes the iteration unsalvageable instead.
-    pub fn try_acquire(&self) -> bool {
-        let mut st = self.state.lock();
-        if st.in_flight < self.depth {
-            st.in_flight += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Free a slot (the batch's propagation completed, or it was
-    /// abandoned) and wake a producer blocked on a full ring.
-    pub fn release_slot(&self) {
-        {
-            let mut st = self.state.lock();
-            st.in_flight = st.in_flight.saturating_sub(1);
-        }
-        self.cv.notify_all();
-    }
-
-    /// Take a lane-local recycled buffer, if any.
-    pub fn take_buffer(&self) -> Option<Matrix> {
-        self.state.lock().free.pop()
-    }
-
-    /// Return a buffer to this lane's free list for ring-aware reuse.
-    pub fn put_buffer(&self, m: Matrix) {
-        self.state.lock().free.push(m);
-    }
-
-    /// Record a DRM drain event (the staged batches this lane held
-    /// were discarded or re-sliced by a re-mapping that moved this
-    /// lane's share). Buffers stay on the free list — a drain
-    /// invalidates *contents*, not allocations.
-    fn drain(&self) {
-        self.drains.fetch_add(1, Ordering::Relaxed);
-        self.interrupt();
-    }
-
-    /// Wake any waiter so it can observe a raised stop flag. The notify
-    /// happens *under the state mutex*: `acquire` checks the stop flag
-    /// and parks while holding that lock, so an unlocked notify could
-    /// slot between its check and its park and be lost — leaving the
-    /// producer asleep on a ring whose slots will never free (the
-    /// shutdown path joins that very thread).
+    /// Wake a producer parked on the gate so it can observe a raised
+    /// stop flag. The notify happens *under the counter's lock*: `take`
+    /// checks the stop flag and parks while holding that lock, so an
+    /// unlocked notify could slip between its check and its park and be
+    /// lost — leaving the producer asleep on a gate whose credits may
+    /// never come back (the shutdown path joins that very thread).
     fn interrupt(&self) {
-        let _guard = self.state.lock();
+        let _guard = self.free.lock();
         self.cv.notify_all();
     }
 }
 
-/// The per-accelerator staging rings of one trainer instance (shared by
-/// the producer, the executor, and the DRM drain path).
-pub struct StagingRings {
-    rings: Vec<StagingRing>,
-    depth: usize,
-}
+/// One prefetch credit: held by a [`PreparedIteration`] from before its
+/// gather until it is recycled; dropping it wakes a parked producer.
+struct Credit(Arc<Credits>);
 
-impl StagingRings {
-    /// One ring of `depth` slots per accelerator.
-    pub fn new(num_accelerators: usize, depth: usize) -> Self {
-        let depth = depth.max(1);
-        Self {
-            rings: (0..num_accelerators)
-                .map(|_| StagingRing::new(depth))
-                .collect(),
-            depth,
-        }
-    }
-
-    /// Number of accelerator lanes.
-    pub fn num_rings(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Slots per ring.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Accelerator `a`'s ring.
-    ///
-    /// # Panics
-    /// If `a >= num_rings()`.
-    pub fn ring(&self, a: usize) -> &StagingRing {
-        &self.rings[a]
-    }
-
-    /// Total occupied slots across all rings.
-    pub fn in_flight_total(&self) -> usize {
-        self.rings.iter().map(StagingRing::in_flight).sum()
-    }
-
-    /// Total DRM drain events across all rings.
-    pub fn drains_total(&self) -> usize {
-        self.rings.iter().map(StagingRing::drains).sum()
-    }
-
-    /// Record a full re-map drain on every ring. This survives only for
-    /// `set_mapping`-style full re-maps (and the missed-event recovery
-    /// path): a surgical `balance_work` drains per lane via
-    /// [`drain_lanes`](Self::drain_lanes) instead.
-    pub(crate) fn drain_all(&self) {
-        for r in &self.rings {
-            r.drain();
-        }
-    }
-
-    /// Record a DRM `balance_work` drain on exactly the lanes whose
-    /// quota share moved (`mask[a]` true). Untouched lanes keep their
-    /// drain count — the pinned "surgical" invariant.
-    pub(crate) fn drain_lanes(&self, mask: &[bool]) {
-        for (r, &changed) in self.rings.iter().zip(mask) {
-            if changed {
-                r.drain();
-            }
-        }
-    }
-
-    /// Occupy a slot on ring `a` without blocking; `None` when the ring
-    /// is full. Used by the salvage path when a re-map activates a lane
-    /// that held no slot in the queued iteration.
-    pub fn try_acquire_token(self: &Arc<Self>, a: usize) -> Option<SlotToken> {
-        if self.rings[a].try_acquire() {
-            Some(SlotToken {
-                rings: Arc::clone(self),
-                accel: a,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Wake every slot waiter (producer shutdown).
-    fn interrupt_all(&self) {
-        for r in &self.rings {
-            r.interrupt();
-        }
-    }
-
-    /// Occupy a slot on ring `a`, returning an RAII token that frees the
-    /// slot on drop. `None` once `stop` is raised.
-    pub fn acquire_token(self: &Arc<Self>, a: usize, stop: &AtomicBool) -> Option<SlotToken> {
-        if self.rings[a].acquire(stop) {
-            Some(SlotToken {
-                rings: Arc::clone(self),
-                accel: a,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// RAII occupancy of one staging slot: held from the moment a batch is
-/// staged until its propagation completes; dropping the token frees the
-/// slot and wakes the producer.
-pub struct SlotToken {
-    rings: Arc<StagingRings>,
-    accel: usize,
-}
-
-impl SlotToken {
-    /// The accelerator lane this token occupies a slot on.
-    pub fn accel(&self) -> usize {
-        self.accel
-    }
-}
-
-impl Drop for SlotToken {
+impl Drop for Credit {
     fn drop(&mut self) {
-        self.rings.ring(self.accel).release_slot();
+        *self.0.free.lock() += 1;
+        self.0.cv.notify_all();
     }
 }
 
@@ -485,25 +295,9 @@ pub struct PrepareCtx {
     /// socket's share of the loader pool, weighted by the sampled rows'
     /// ownership histogram.
     pub numa_domains: usize,
-    /// Per-accelerator staging rings: the producer takes a slot per
-    /// accelerator batch, the executor frees it after propagation.
-    pub rings: Arc<StagingRings>,
 }
 
 impl PrepareCtx {
-    /// Accelerator (staging-ring) index serving trainer `trainer_idx`,
-    /// or `None` for the CPU trainer (which, when hybrid, occupies
-    /// trainer index 0 and never stages). The single source of truth
-    /// for the trainer→lane mapping.
-    pub(crate) fn accel_of(&self, trainer_idx: usize) -> Option<usize> {
-        let offset = usize::from(self.hybrid);
-        if trainer_idx >= offset && trainer_idx - offset < self.rings.num_rings() {
-            Some(trainer_idx - offset)
-        } else {
-            None
-        }
-    }
-
     /// Sample one mini-batch per job `(trainer, seeds, stream)` into
     /// that trainer role's recycled batch: one dispatch on
     /// the sampler pool that hands out trainers one at a time, in order,
@@ -534,16 +328,17 @@ impl PrepareCtx {
     /// row count across the loader pool and sharded across the NUMA row
     /// domains of `X` with thread shares weighted by the rows' ownership
     /// histogram. Accelerator trainers read the wire view and the CPU
-    /// trainer reads host memory, so accelerator batches arrive already
-    /// at wire precision — bitwise what gathering and then round-tripping
-    /// would give.
+    /// trainer (trainer 0, when hybrid) reads host memory, so accelerator
+    /// batches arrive already at wire precision — bitwise what gathering
+    /// and then round-tripping would give.
     fn gather_all(&self, jobs: &mut [(usize, &[u32], Matrix)]) {
         let mut gathers: Vec<GatherJob<'_>> = jobs
             .iter_mut()
             .map(|(trainer, indices, out)| GatherJob {
-                wire: match self.accel_of(*trainer) {
-                    Some(_) => self.accel_features.as_ref(),
-                    None => &WireFeatures::Host,
+                wire: if self.hybrid && *trainer == 0 {
+                    &WireFeatures::Host
+                } else {
+                    self.accel_features.as_ref()
                 },
                 out,
                 indices,
@@ -556,46 +351,12 @@ impl PrepareCtx {
             self.workers.loader(),
         );
     }
-
-    /// Return trainer `idx`'s feature buffer for reuse: an accelerator's
-    /// to its ring's free list, the CPU trainer's to the shared pool. A
-    /// buffer thus keeps serving one trainer role, and its capacity stays
-    /// that role's size instead of growing to the largest batch any role
-    /// has seen.
-    pub(crate) fn release_buffer(&self, idx: usize, m: Matrix, pool: &MatrixPool) {
-        match self.accel_of(idx) {
-            Some(a) => self.rings.ring(a).put_buffer(m),
-            None => pool.release(m),
-        }
-    }
-
-    /// Discard an iteration: its buffers go back through
-    /// [`release_buffer`](Self::release_buffer), its mini-batches to
-    /// their roles in `pool`, its slots free on drop.
-    fn recycle(&self, prep: PreparedIteration, pool: &MatrixPool) {
-        for (idx, (m, batch)) in prep.features.into_iter().zip(prep.batches).enumerate() {
-            if let Some(m) = m {
-                self.release_buffer(idx, m, pool);
-            }
-            if let Some(batch) = batch {
-                pool.release_batch(idx, batch);
-            }
-        }
-    }
-
-    /// A pooled buffer for trainer `idx`: its accelerator's ring free
-    /// list first (lane-local reuse), then the shared pool.
-    fn buffer(&self, idx: usize, pool: &MatrixPool) -> Matrix {
-        self.accel_of(idx)
-            .and_then(|a| self.rings.ring(a).take_buffer())
-            .unwrap_or_else(|| pool.acquire())
-    }
 }
 
 /// One fully-prepared training iteration: sampled mini-batches plus
 /// gathered feature matrices (accelerator batches at wire precision),
-/// with the producer-side wall-clock stage timings and the staging
-/// slots the batch still occupies.
+/// with the producer-side wall-clock stage timings and the prefetch
+/// credit it holds until it is recycled.
 pub struct PreparedIteration {
     /// Iteration index within the epoch.
     pub iter: usize,
@@ -619,30 +380,31 @@ pub struct PreparedIteration {
     pub sample_wall_s: f64,
     /// Wall-clock seconds of the loader dispatch (feature gathering).
     pub load_wall_s: f64,
-    /// Staging slots this batch occupies, one per accelerator batch —
-    /// released (by drop) when the consumer finishes propagation. Empty
-    /// in serial execution, which stages nothing ahead.
-    pub slots: Vec<SlotToken>,
     /// The worker-pool widths (the DRM [`ThreadAlloc`]) this iteration
     /// was prepared under — the measured-wall twin of the simulated
     /// thread model, surfaced in
     /// [`WallStageTimes`](crate::report::WallStageTimes).
     pub threads: ThreadAlloc,
+    /// The prefetch credit this iteration holds (none when prepared
+    /// inline); released when the iteration is recycled or dropped.
+    credit: Option<Credit>,
 }
 
 impl PreparedIteration {
-    /// Return every pooled buffer and mini-batch for reuse and free the
-    /// staging slots.
+    /// Return every feature buffer and mini-batch to its trainer's role
+    /// in `pool` and release the prefetch credit — the one path by which
+    /// an iteration's batches end, whether after propagation or
+    /// discarded.
     pub fn recycle(self, pool: &MatrixPool) {
-        for m in self.features.into_iter().flatten() {
-            pool.release(m);
-        }
-        for (idx, batch) in self.batches.into_iter().enumerate() {
+        for (idx, (m, batch)) in self.features.into_iter().zip(self.batches).enumerate() {
+            if let Some(m) = m {
+                pool.release(idx, m);
+            }
             if let Some(batch) = batch {
                 pool.release_batch(idx, batch);
             }
         }
-        // self.slots dropped here: slot tokens release their rings
+        // self.credit drops here, waking a producer parked on the gate
     }
 }
 
@@ -655,13 +417,13 @@ fn sample_stream(epoch: u64, iter: usize, rank: usize) -> u64 {
 
 /// Prepare iteration `iter` of `epoch`: slice seeds under `quotas`,
 /// sample one mini-batch per non-idle trainer, and gather features into
-/// pooled buffers, staging nothing (no ring slots are taken). Returns
-/// `None` once the epoch's seeds are exhausted.
+/// pooled buffers, holding no credit. Returns `None` once the epoch's
+/// seeds are exhausted.
 ///
 /// This is the single implementation of the producer stages — the
 /// serial (`depth = 0`) path calls it directly and the pipelined
-/// producer thread runs its two halves with the staging slots taken in
-/// between, which is what makes them bitwise-identical by construction.
+/// producer thread runs its two halves with a credit taken in between,
+/// which is what makes them bitwise-identical by construction.
 pub fn prepare_iteration(
     ctx: &PrepareCtx,
     order: &[u32],
@@ -715,8 +477,8 @@ fn sample_iteration(
         batches,
         sample_wall_s,
         load_wall_s: 0.0,
-        slots: Vec::new(),
         threads,
+        credit: None,
     })
 }
 
@@ -731,7 +493,7 @@ fn load_iteration(ctx: &PrepareCtx, prep: &mut PreparedIteration, pool: &MatrixP
         .enumerate()
         .filter_map(|(idx, b)| {
             b.as_ref()
-                .map(|mb| (idx, mb.input_nodes.as_slice(), ctx.buffer(idx, pool)))
+                .map(|mb| (idx, mb.input_nodes.as_slice(), pool.acquire(idx)))
         })
         .collect();
     ctx.gather_all(&mut loads);
@@ -745,8 +507,8 @@ fn load_iteration(ctx: &PrepareCtx, prep: &mut PreparedIteration, pool: &MatrixP
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResliceOutcome {
     /// Batches whose trainer's seed slice (and sampler stream) did not
-    /// move: kept verbatim — sampled mini-batch, gathered features,
-    /// and staging slot all survive.
+    /// move: kept verbatim — sampled mini-batch and gathered features
+    /// both survive.
     pub salvaged: usize,
     /// Batches discarded and (where the trainer stays active) redone
     /// under the new slicing.
@@ -758,18 +520,17 @@ pub struct ResliceOutcome {
 ///
 /// Trainers whose seed slice is byte-identical under the new quotas
 /// *and* whose sampler stream rank (index among non-empty trainers) is
-/// unchanged keep everything: sampled mini-batch, gathered feature
-/// matrix, staging slot. Every other trainer is re-sliced: its old
-/// batch is dropped, its buffer reused, and its mini-batch re-sampled
-/// and re-gathered under exactly the streams a from-scratch producer
-/// would use — so the result is bitwise-identical to serial preparation
-/// under `new_quotas`.
+/// unchanged keep everything: sampled mini-batch and gathered feature
+/// matrix. Every other trainer is re-sliced: its old batch is dropped,
+/// its buffer reused, and its mini-batch re-sampled and re-gathered
+/// under exactly the streams a from-scratch producer would use — so the
+/// result is bitwise-identical to serial preparation under
+/// `new_quotas`. The iteration keeps its one credit whichever trainers
+/// the re-map activates.
 ///
 /// Returns `None` (leaving the iteration unusable — the caller recycles
-/// it) when the iteration does not exist under the new plan, the
-/// trainer topology changed, or a newly-activated lane's staging ring
-/// has no free slot (the salvage path never blocks on a slot: no
-/// producer is running to free one).
+/// it) when the iteration does not exist under the new plan or the
+/// trainer topology changed.
 fn reslice_iteration(
     ctx: &PrepareCtx,
     order: &[u32],
@@ -796,29 +557,6 @@ fn reslice_iteration(
         })
         .collect();
 
-    // --- Staging slots first (the only fallible step): keep tokens on
-    // lanes that stay active, drop tokens on deactivated lanes, and
-    // take a slot non-blockingly for newly-activated lanes.
-    let mut held: Vec<Option<SlotToken>> = (0..ctx.rings.num_rings()).map(|_| None).collect();
-    for tok in prep.slots.drain(..) {
-        let a = tok.accel();
-        held[a] = Some(tok);
-    }
-    let mut slots = Vec::new();
-    for (t, seeds) in new_seed_sets.iter().enumerate() {
-        if seeds.is_empty() {
-            continue;
-        }
-        if let Some(a) = ctx.accel_of(t) {
-            match held[a].take().or_else(|| ctx.rings.try_acquire_token(a)) {
-                Some(tok) => slots.push(tok),
-                None => return None, // lane full — unsalvageable without blocking
-            }
-        }
-    }
-    drop(held); // deactivated lanes' tokens release their slots here
-    prep.slots = slots;
-
     // --- Per-trainer triage: count salvage, release changed trainers'
     // batches, and collect the ones that need rebuilding.
     let mut outcome = ResliceOutcome::default();
@@ -835,7 +573,7 @@ fn reslice_iteration(
         if new_seed_sets[t].is_empty() {
             // trainer deactivated: its buffer goes back for reuse
             if let Some(m) = prep.features[t].take() {
-                ctx.release_buffer(t, m, pool);
+                pool.release(t, m);
             }
         } else {
             rebuild.push(t);
@@ -856,15 +594,13 @@ fn reslice_iteration(
     prep.sample_wall_s += sample_start.elapsed().as_secs_f64();
 
     // --- Re-gather exactly like the producer, reusing each trainer's
-    // existing buffer (then the lane free list, then the shared pool).
+    // existing buffer (then its role's free list).
     let load_start = Instant::now();
     let mut loads: Vec<(usize, &[u32], Matrix)> = rebuild
         .iter()
         .zip(&resampled)
         .map(|(&t, mb)| {
-            let buf = prep.features[t]
-                .take()
-                .unwrap_or_else(|| ctx.buffer(t, pool));
+            let buf = prep.features[t].take().unwrap_or_else(|| pool.acquire(t));
             (t, mb.input_nodes.as_slice(), buf)
         })
         .collect();
@@ -883,13 +619,13 @@ fn reslice_iteration(
 }
 
 /// Handle to one background producer run (one contiguous span of
-/// iterations under fixed quotas): a single thread that prepares each
-/// iteration, takes a staging slot per accelerator batch, and queues it
-/// for the consumer.
+/// iterations under fixed quotas): a single thread that samples each
+/// iteration, takes a prefetch credit, gathers, and queues it for the
+/// consumer. Dropping the handle stops the producer.
 struct Prefetcher {
     rx: Receiver<PreparedIteration>,
     stop: Arc<AtomicBool>,
-    rings: Arc<StagingRings>,
+    credits: Arc<Credits>,
     /// Prepared iterations currently sitting in the consumer queue
     /// (incremented by the producer on send, decremented on receive) —
     /// lets tests and benches wait for the queue to fill
@@ -900,8 +636,7 @@ struct Prefetcher {
 
 impl Prefetcher {
     /// Spawn a producer covering `start_iter..end_iter` under `quotas`
-    /// (stamping `quota_epoch` on every item), buffering at most
-    /// `depth` prepared iterations in the consumer queue.
+    /// (stamping `quota_epoch` on every item), gated by `credits`.
     #[allow(clippy::too_many_arguments)]
     fn spawn(
         ctx: Arc<PrepareCtx>,
@@ -911,16 +646,17 @@ impl Prefetcher {
         end_iter: usize,
         quotas: Vec<usize>,
         quota_epoch: u64,
-        depth: usize,
+        credits: Arc<Credits>,
         pool: Arc<MatrixPool>,
     ) -> Self {
-        let (tx, rx) = sync_channel::<PreparedIteration>(depth.max(1));
+        // Unbounded: the credit gate is the only bound on the queue.
+        let (tx, rx) = channel::<PreparedIteration>();
         let stop = Arc::new(AtomicBool::new(false));
         let ready = Arc::new(AtomicUsize::new(0));
-        let rings = Arc::clone(&ctx.rings);
         let handle = {
             let stop = Arc::clone(&stop);
             let ready = Arc::clone(&ready);
+            let credits = Arc::clone(&credits);
             std::thread::Builder::new()
                 .name("hyscale-prefetch".into())
                 .spawn(move || {
@@ -933,27 +669,15 @@ impl Prefetcher {
                         else {
                             break; // epoch seeds exhausted
                         };
-                        // The staging-slot gate, before gathering: one
-                        // slot per accelerator batch, blocking while a
-                        // ring's slots all hold batches still in compute
-                        // — ring depth 1 serializes staging with compute,
-                        // depth 2 double-buffers them. A batch is gathered
-                        // into the slot it holds, so a blocked producer
-                        // holds no gathered features and feature memory
-                        // stays bounded by the ring depth however fast
-                        // the producer runs. A raised stop refuses
-                        // instead of blocking; the iteration is recycled.
-                        let lanes: Vec<usize> = (0..prep.batches.len())
-                            .filter(|&idx| prep.batches[idx].is_some())
-                            .filter_map(|idx| ctx.accel_of(idx))
-                            .collect();
-                        for a in lanes {
-                            match ctx.rings.acquire_token(a, &stop) {
-                                Some(token) => prep.slots.push(token),
-                                None => {
-                                    ctx.recycle(prep, &pool);
-                                    return;
-                                }
+                        // The prefetch gate, before gathering: a parked
+                        // producer holds sampled batches but no gathered
+                        // features. A raised stop refuses instead of
+                        // parking; the iteration is recycled.
+                        match credits.take(&stop) {
+                            Some(credit) => prep.credit = Some(credit),
+                            None => {
+                                prep.recycle(&pool);
+                                return;
                             }
                         }
                         load_iteration(&ctx, &mut prep, &pool);
@@ -961,13 +685,11 @@ impl Prefetcher {
                         // Count the item *before* committing it to the
                         // channel: a consumer receiving it concurrently
                         // must never observe its decrement before this
-                        // increment (underflow), and `shutdown_collect`
-                        // relies on the counter never under-reporting a
-                        // committed item.
+                        // increment (underflow).
                         ready.fetch_add(1, Ordering::Release);
                         if let Err(rejected) = tx.send(prep) {
                             ready.fetch_sub(1, Ordering::Release);
-                            ctx.recycle(rejected.0, &pool);
+                            rejected.0.recycle(&pool);
                             break;
                         }
                     }
@@ -978,7 +700,7 @@ impl Prefetcher {
         Self {
             rx,
             stop,
-            rings,
+            credits,
             ready,
             handle: Some(handle),
         }
@@ -1006,50 +728,39 @@ impl Prefetcher {
         self.ready.load(Ordering::Acquire)
     }
 
-    /// Stop the producer, returning the contiguous run of fully-prepared
-    /// iterations that were buffered in the consumer queue (front
-    /// first) so the caller can salvage them. An iteration the producer
-    /// was still preparing is recycled by the producer itself before it
-    /// exits.
-    fn shutdown_collect(mut self) -> Vec<PreparedIteration> {
+    /// Raise the stop flag and wake a producer parked on the gate.
+    fn halt(&self) {
         self.stop.store(true, Ordering::Release);
-        // Wake a producer blocked on a full staging ring so it can
-        // observe `stop` and bail out.
-        self.rings.interrupt_all();
-        // Drain whatever is buffered so a producer blocked on a full
-        // channel can complete its send, observe `stop`, and exit. The
-        // collected items keep their buffers and staging slots. The
-        // `ready` counter is incremented before each send, so spin past
-        // the (microseconds-wide) window where an item is committed but
-        // not yet visible to `try_recv` — otherwise a race would
-        // silently flush a salvageable iteration. Termination: with
-        // `stop` raised the producer sends at most the one item already
-        // counted, and if it dies the channel disconnects.
-        let mut collected = Vec::new();
-        loop {
-            match self.rx.try_recv() {
-                Ok(prep) => {
-                    self.ready.fetch_sub(1, Ordering::AcqRel);
-                    collected.push(prep);
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => {
-                    if self.ready.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
-            }
+        self.credits.interrupt();
+    }
+
+    /// Stop the producer, returning the contiguous run of fully-prepared
+    /// iterations it queued (front first), credits and all, so the
+    /// caller can salvage them. An iteration the producer had sampled
+    /// but not yet gathered is recycled by the producer itself before it
+    /// exits. The wait is bounded: the producer never blocks on the
+    /// unbounded channel, and the halt wakes it from the gate, so it
+    /// finishes at most the one stage it is running.
+    fn shutdown_collect(mut self) -> Vec<PreparedIteration> {
+        self.halt();
+        join_producer(self.handle.take());
+        // The producer is gone, so the queue holds all it ever sent.
+        self.rx.try_iter().collect()
+    }
+}
+
+impl Drop for Prefetcher {
+    /// A feed dropped mid-epoch (the consumer is unwinding from a
+    /// trainer's panic) must not leave its producer parked on the gate:
+    /// halt it and wait for it, which is bounded as in
+    /// [`shutdown_collect`](Self::shutdown_collect). A producer panic is
+    /// not re-raised here — a panic in `drop` while unwinding aborts —
+    /// so teardown that must surface it goes through `shutdown_collect`.
+    fn drop(&mut self) {
+        self.halt();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
         }
-        // Close the channel: an in-flight send now errors out (the
-        // producer recycles the rejected iteration's buffers itself).
-        // Bounded wait: at most one in-flight iteration — the same work
-        // the consumer would do inline anyway before it can proceed
-        // under the new quotas.
-        let handle = self.handle.take();
-        drop(self.rx);
-        join_producer(handle);
-        collected
     }
 }
 
@@ -1062,11 +773,11 @@ fn join_producer(handle: Option<JoinHandle<()>>) {
 }
 
 /// The executor's iteration source: serial preparation at `depth = 0`,
-/// a background producer pipeline otherwise. When the consumer's quotas
-/// change (DRM re-mapping) the invalidation is *surgical*: queued
-/// iterations are re-sliced per trainer (`reslice_iteration`) so
-/// settled trainers keep their prepared batches, and only the staging
-/// rings of lanes whose share moved are drained. A zero-diff re-map is a no-op; only missed-event recovery
+/// a background producer pipeline gated by `depth` prefetch credits
+/// otherwise. When the consumer's quotas change (DRM re-mapping) the
+/// invalidation is *surgical*: queued iterations are re-sliced per
+/// trainer (`reslice_iteration`) so settled trainers keep their prepared
+/// batches. A zero-diff re-map is a no-op; only missed-event recovery
 /// (a stale batch actually reaching the consumer) still pays the full
 /// flush.
 ///
@@ -1084,6 +795,7 @@ pub struct IterationFeed {
     end_iter: usize,
     depth: usize,
     pool: Arc<MatrixPool>,
+    credits: Arc<Credits>,
     pipeline: Option<Prefetcher>,
     /// Iterations salvaged across the last re-map, served before the
     /// restarted producer's output (they cover the iterations just
@@ -1107,7 +819,8 @@ pub struct IterationFeed {
 
 impl IterationFeed {
     /// Create the feed for one epoch, spawning the producer at iteration
-    /// 0 when `depth > 0`.
+    /// 0 when `depth > 0`. At most `depth` iterations' features are
+    /// alive at once, counting those the consumer holds.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         ctx: Arc<PrepareCtx>,
@@ -1125,6 +838,7 @@ impl IterationFeed {
             end_iter,
             depth,
             pool,
+            credits: Arc::new(Credits::new(depth)),
             pipeline: None,
             salvaged: VecDeque::new(),
             quotas: initial_quotas,
@@ -1151,18 +865,18 @@ impl IterationFeed {
             self.end_iter,
             self.quotas.clone(),
             self.quota_epoch,
-            self.depth,
+            Arc::clone(&self.credits),
             Arc::clone(&self.pool),
         )
     }
 
     /// Discard a prepared iteration: count its batches as flushed and
-    /// recycle its buffers/slots. The single accounting point behind
-    /// `salvage_stats` — every flush path (stale recovery, unsalvageable
-    /// re-slice, full restart) goes through here.
+    /// recycle it. The single accounting point behind `salvage_stats` —
+    /// every flush path (stale recovery, unsalvageable re-slice, full
+    /// restart) goes through here.
     fn flush_item(&mut self, prep: PreparedIteration) {
         self.batches_flushed += prep.batches.iter().flatten().count();
-        self.ctx.recycle(prep, &self.pool);
+        prep.recycle(&self.pool);
     }
 
     /// Obtain iteration `iter` prepared under exactly `quotas`.
@@ -1201,8 +915,7 @@ impl IterationFeed {
                 }
                 Some(stale) => {
                     // Produced under an outdated plan (missed DRM event or
-                    // an out-of-band `set_mapping`): full flush and redo —
-                    // the `drain_all` path survives exactly for this.
+                    // an out-of-band `set_mapping`): full flush and redo.
                     self.flush_item(stale);
                     self.restart(iter, quotas.to_vec());
                 }
@@ -1213,19 +926,18 @@ impl IterationFeed {
 
     /// Record a DRM `balance_work` re-mapping: the producer will serve
     /// iteration `next_iter` onward under `quotas`. The re-map is
-    /// **deferred and coalesced** — nothing is drained here; the
+    /// **deferred and coalesced** — nothing is discarded here; the
     /// surgical re-slice runs once, at the next
     /// [`obtain`](Self::obtain), against the *final* quotas of whatever
     /// burst of events accumulated. Its semantics there:
     ///
     /// * a **zero-diff** outcome (final quotas equal the live
     ///   generation's — including a burst that cancels itself out) is a
-    ///   complete no-op: no drain, no restart, nothing flushed;
+    ///   complete no-op: no restart, nothing flushed;
     /// * otherwise queued iterations are re-sliced per trainer against
     ///   the oldest-kept → newest quota diff: settled trainers keep
-    ///   their batches, buffers, and staging slots
-    ///   (`reslice_iteration`), and only the *changed* lanes record a
-    ///   ring drain;
+    ///   their batches and buffers, and each iteration keeps its credit
+    ///   (`reslice_iteration`);
     /// * the producer restarts after the salvaged run, under the new
     ///   quotas and a bumped quota epoch (stragglers from the old
     ///   generation are rejected at receive time by the epoch stamp).
@@ -1256,7 +968,6 @@ impl IterationFeed {
         if quotas == self.quotas {
             return; // zero-diff balance_work: nothing moved, nothing to pay
         }
-        let diff = QuotaDiff::between(&self.quotas, &quotas);
         self.quotas = quotas;
         let t0 = Instant::now();
         self.quota_epoch += 1;
@@ -1296,10 +1007,6 @@ impl IterationFeed {
             }
             self.flush_item(prep);
         }
-        // Only the lanes whose slice moved record a ring drain.
-        self.ctx
-            .rings
-            .drain_lanes(&diff.changed_lanes(self.ctx.hybrid, self.ctx.rings.num_rings()));
         self.restarts += 1;
         self.pipeline = Some(self.spawn_at(expected));
         self.invalidation_wall_s += t0.elapsed().as_secs_f64();
@@ -1310,11 +1017,10 @@ impl IterationFeed {
     /// widths. Unlike [`invalidate`](Self::invalidate) this is an
     /// immediate cross-thread atomic store, not a message through the
     /// queue — it is unordered with respect to in-flight iterations and
-    /// deliberately drains nothing: not the queue, not the staging
-    /// rings. Pool widths change wall-clock, never bytes, so
-    /// already-prepared iterations remain valid (`tests/equivalence.rs`
-    /// and the randomized DRM-schedule harness in
-    /// `tests/proptest_invariants.rs` pin this bitwise).
+    /// deliberately discards nothing. Pool widths change wall-clock,
+    /// never bytes, so already-prepared iterations remain valid
+    /// (`tests/equivalence.rs` and the randomized DRM-schedule harness
+    /// in `tests/proptest_invariants.rs` pin this bitwise).
     pub fn rebalance_threads(&self, alloc: &ThreadAlloc) {
         self.ctx.workers.apply(alloc);
     }
@@ -1331,17 +1037,16 @@ impl IterationFeed {
         &self.ctx.workers
     }
 
-    /// The per-accelerator staging rings this feed's producer stages
-    /// batches through.
-    pub fn rings(&self) -> &Arc<StagingRings> {
-        &self.ctx.rings
+    /// The prefetch credits gating this feed's producer.
+    pub fn credits(&self) -> &Arc<Credits> {
+        &self.credits
     }
 
     /// Full flush and restart — the `set_mapping`-style re-map: every
-    /// queued batch is discarded and **every** ring records a drain.
-    /// Reached only from the missed-event recovery path in
-    /// [`obtain`](Self::obtain); ordinary `balance_work` moves go
-    /// through the surgical [`invalidate`](Self::invalidate).
+    /// queued batch is discarded. Reached only from the missed-event
+    /// recovery path in [`obtain`](Self::obtain); ordinary
+    /// `balance_work` moves go through the surgical
+    /// [`invalidate`](Self::invalidate).
     fn restart(&mut self, start_iter: usize, quotas: Vec<usize>) {
         self.quotas = quotas;
         self.quota_epoch += 1;
@@ -1350,9 +1055,6 @@ impl IterationFeed {
                 self.flush_item(prep);
             }
         }
-        // Count the drain on every ring: the staged batches died with
-        // the producer generation that prepared them.
-        self.ctx.rings.drain_all();
         self.restarts += 1;
         self.pipeline = Some(self.spawn_at(start_iter));
     }
@@ -1395,7 +1097,7 @@ impl IterationFeed {
             .take()
             .map_or_else(Vec::new, Prefetcher::shutdown_collect);
         for prep in self.salvaged.drain(..).chain(queued) {
-            self.ctx.recycle(prep, &self.pool);
+            prep.recycle(&self.pool);
         }
     }
 }
@@ -1416,12 +1118,9 @@ mod tests {
     use super::*;
     use hyscale_tensor::init::randn;
     use hyscale_tensor::Precision;
+    use std::time::Duration;
 
-    fn ctx_over(
-        dataset: Dataset,
-        alloc: ThreadAlloc,
-        ring_depth: usize,
-    ) -> (Arc<PrepareCtx>, Arc<Vec<u32>>) {
+    fn ctx_over(dataset: Dataset, alloc: ThreadAlloc) -> (Arc<PrepareCtx>, Arc<Vec<u32>>) {
         let batcher = EpochBatcher::new(dataset.splits.train.clone(), 99);
         let order = Arc::new(batcher.epoch_order(0));
         let ctx = PrepareCtx {
@@ -1432,82 +1131,136 @@ mod tests {
             hybrid: true,
             workers: Arc::new(StageWorkers::from_alloc(&alloc)),
             numa_domains: 2,
-            rings: Arc::new(StagingRings::new(2, ring_depth)),
         };
         (Arc::new(ctx), order)
     }
 
-    fn ctx_with_rings(ring_depth: usize) -> (Arc<PrepareCtx>, Arc<Vec<u32>>) {
-        ctx_over(Dataset::toy(5), ThreadAlloc::default_for(8), ring_depth)
-    }
-
     fn ctx() -> (Arc<PrepareCtx>, Arc<Vec<u32>>) {
-        ctx_with_rings(2)
+        ctx_over(Dataset::toy(5), ThreadAlloc::default_for(8))
+    }
+
+    /// A pipelined feed over `ctx()` at `depth`, three trainers of 8
+    /// seeds each (the CPU trainer plus two accelerators).
+    fn feed_at(depth: usize) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
+        let (ctx, order) = ctx();
+        let pool = Arc::new(MatrixPool::new());
+        let quotas = vec![8usize, 8, 8];
+        let feed = IterationFeed::new(
+            ctx,
+            order,
+            0,
+            usize::MAX,
+            depth,
+            Arc::clone(&pool),
+            quotas.clone(),
+        );
+        (feed, pool, quotas)
+    }
+
+    /// Wait (bounded, ~5 s) until exactly `n` iterations are queued.
+    fn wait_buffered(feed: &IterationFeed, n: usize) {
+        for _ in 0..500 {
+            if feed.buffered() == n {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("queue never reached {n} (at {})", feed.buffered());
+    }
+
+    /// Run `body` on its own thread, failing if it does not return
+    /// within 60 s — a lost wake-up then fails the test instead of
+    /// hanging the suite.
+    fn with_watchdog(body: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+            let _ = tx.send(outcome.map_err(panic_text));
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(outcome) => outcome.unwrap_or_else(|message| panic!("{message}")),
+            Err(_) => panic!("deadlock: the test body never returned"),
+        }
     }
 
     #[test]
-    fn pool_recycles_buffers() {
+    fn pool_recycles_buffers_per_role() {
         let pool = MatrixPool::new();
-        let mut m = pool.acquire();
-        assert_eq!(pool.idle(), 0);
+        let mut m = pool.acquire(1);
+        assert_eq!(pool.idle(1), 0);
         m.resize(8, 4);
-        pool.release(m);
-        assert_eq!(pool.idle(), 1);
-        let m2 = pool.acquire();
+        pool.release(1, m);
+        assert_eq!(pool.idle(1), 1);
+        assert_eq!(pool.acquire(2).shape(), (0, 0), "roles don't share buffers");
+        let m2 = pool.acquire(1);
         assert_eq!(m2.shape(), (8, 4), "recycled buffer keeps its allocation");
-        assert_eq!(pool.idle(), 0);
+        assert_eq!(pool.idle(1), 0);
     }
 
     #[test]
-    fn ring_slots_bound_in_flight_batches() {
-        let rings = Arc::new(StagingRings::new(1, 2));
-        let stop = AtomicBool::new(false);
-        let t0 = rings.acquire_token(0, &stop).expect("slot 0");
-        let t1 = rings.acquire_token(0, &stop).expect("slot 1");
-        assert_eq!(rings.ring(0).in_flight(), 2);
-        // full + stop raised: acquire refuses instead of blocking
-        stop.store(true, Ordering::Release);
-        assert!(rings.acquire_token(0, &stop).is_none());
-        stop.store(false, Ordering::Release);
-        drop(t0); // batch 0's propagation completed
-        assert_eq!(rings.ring(0).in_flight(), 1);
-        let t2 = rings.acquire_token(0, &stop).expect("slot freed by drop");
-        assert_eq!(t2.accel(), 0);
-        drop(t1);
-        drop(t2);
-        assert_eq!(rings.in_flight_total(), 0);
+    fn credit_gate_bounds_alive_iterations() {
+        // At depth d, with the consumer holding k iterations, the queue
+        // settles at d - k: every credit is held, by the consumer or by
+        // a queued iteration, and the producer parks with the next
+        // iteration sampled but not gathered.
+        for depth in [1usize, 2, 3] {
+            let (mut feed, pool, quotas) = feed_at(depth);
+            let mut held = Vec::new();
+            for k in 0..=depth {
+                if k > 0 {
+                    held.push(feed.obtain(k - 1, &quotas).expect("iteration"));
+                }
+                wait_buffered(&feed, depth - k);
+                std::thread::sleep(Duration::from_millis(30));
+                assert_eq!(feed.buffered(), depth - k, "depth {depth}, holding {k}");
+                assert_eq!(feed.credits().held(), depth, "depth {depth}, holding {k}");
+            }
+            for prep in held {
+                prep.recycle(&pool);
+            }
+            let credits = Arc::clone(feed.credits());
+            feed.finish();
+            assert_eq!(
+                credits.held(),
+                0,
+                "credits held after finish at depth {depth}"
+            );
+        }
     }
 
     #[test]
-    fn ring_free_list_is_lane_local() {
-        let rings = StagingRings::new(2, 2);
-        assert!(rings.ring(0).take_buffer().is_none());
-        let mut m = Matrix::uninit(0, 0);
-        m.resize(4, 3);
-        rings.ring(0).put_buffer(m);
-        assert!(rings.ring(1).take_buffer().is_none(), "lanes don't share");
-        let back = rings.ring(0).take_buffer().expect("lane 0 buffer");
-        assert_eq!(back.shape(), (4, 3));
-    }
-
-    #[test]
-    fn blocked_producer_wakes_when_slot_frees() {
-        // A producer blocked on a full ring must wake when the consumer
-        // releases the slot (token drop), not spin or deadlock.
-        let rings = Arc::new(StagingRings::new(1, 1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let held = rings.acquire_token(0, &stop).expect("slot");
-        let waiter = {
-            let rings = Arc::clone(&rings);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || rings.acquire_token(0, &stop).is_some())
-        };
-        // give the waiter time to block, then release the slot
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(held);
-        assert!(waiter.join().expect("waiter"), "waiter never acquired");
-        // the waiter's token dropped with its thread: slot freed again
-        assert_eq!(rings.in_flight_total(), 0);
+    fn recycle_and_remap_wake_the_parked_producer() {
+        with_watchdog(|| {
+            let (mut feed, pool, quotas) = feed_at(2);
+            // The consumer holds both credits: the producer samples
+            // iteration 2 and parks on the gate.
+            let it0 = feed.obtain(0, &quotas).expect("iteration 0");
+            let it1 = feed.obtain(1, &quotas).expect("iteration 1");
+            std::thread::sleep(Duration::from_millis(30));
+            assert_eq!(
+                feed.buffered(),
+                0,
+                "nothing gathers while every credit is held"
+            );
+            // A recycle returns a credit and wakes the producer.
+            it0.recycle(&pool);
+            wait_buffered(&feed, 1);
+            // The producer parks again, on iteration 3. A re-map stops
+            // it: the shutdown must wake it from the gate, or the join
+            // inside `obtain` never returns. Iteration 2 is re-sliced
+            // under its own credit and served from the salvage.
+            let new_quotas = vec![12usize, 4, 8];
+            feed.invalidate(2, new_quotas.clone());
+            let it2 = feed.obtain(2, &new_quotas).expect("post-remap iteration");
+            assert_eq!(it2.quotas, new_quotas);
+            assert_eq!(feed.restarts(), 1);
+            assert_eq!(feed.credits().held(), 2);
+            it1.recycle(&pool);
+            it2.recycle(&pool);
+            let credits = Arc::clone(feed.credits());
+            feed.finish();
+            assert_eq!(credits.held(), 0, "credits held after finish");
+        });
     }
 
     #[test]
@@ -1516,10 +1269,10 @@ mod tests {
         let pool = MatrixPool::new();
         let quotas = [16usize, 16, 16];
         let a = prepare_iteration(&ctx, &order, 0, 1, &quotas, &pool).unwrap();
-        // poison the pool and the ring free lists with stale buffers
-        pool.release(randn(200, 3, 1));
-        pool.release(Matrix::full(1, 1, f32::NAN));
-        ctx.rings.ring(0).put_buffer(Matrix::full(7, 7, f32::NAN));
+        // poison the pool's feature roles with stale buffers
+        pool.release(0, randn(200, 3, 1));
+        pool.release(1, Matrix::full(1, 1, f32::NAN));
+        pool.release(2, Matrix::full(7, 7, f32::NAN));
         let b = prepare_iteration(&ctx, &order, 0, 1, &quotas, &pool).unwrap();
         assert_eq!(a.seed_sets, b.seed_sets);
         for (x, y) in a.features.iter().zip(&b.features) {
@@ -1529,7 +1282,7 @@ mod tests {
                 _ => panic!("feature presence diverged"),
             }
         }
-        assert!(a.slots.is_empty(), "serial preparation must stage nothing");
+        assert!(a.credit.is_none(), "serial preparation must hold no credit");
     }
 
     #[test]
@@ -1543,14 +1296,13 @@ mod tests {
     }
 
     #[test]
-    fn feed_pipelined_matches_serial_across_ring_depths() {
-        for ring_depth in [1usize, 2] {
-            let (serial_ctx, order) = ctx_with_rings(ring_depth);
-            let (piped_ctx, _) = ctx_with_rings(ring_depth);
+    fn feed_pipelined_matches_serial_across_depths() {
+        for depth in [1usize, 2, 3] {
+            let (serial_ctx, order) = ctx();
             let quotas = vec![8usize, 8, 8];
             let serial_pool = Arc::new(MatrixPool::new());
             let mut serial = IterationFeed::new(
-                Arc::clone(&serial_ctx),
+                serial_ctx,
                 Arc::clone(&order),
                 0,
                 usize::MAX,
@@ -1558,16 +1310,7 @@ mod tests {
                 Arc::clone(&serial_pool),
                 quotas.clone(),
             );
-            let piped_pool = Arc::new(MatrixPool::new());
-            let mut piped = IterationFeed::new(
-                Arc::clone(&piped_ctx),
-                Arc::clone(&order),
-                0,
-                usize::MAX,
-                3,
-                Arc::clone(&piped_pool),
-                quotas.clone(),
-            );
+            let (mut piped, piped_pool, _) = feed_at(depth);
             let mut iter = 0;
             loop {
                 let a = serial.obtain(iter, &quotas);
@@ -1581,8 +1324,7 @@ mod tests {
                                 assert_eq!(x.as_slice(), y.as_slice());
                             }
                         }
-                        // two accelerator batches -> two staging slots held
-                        assert_eq!(b.slots.len(), 2, "ring depth {ring_depth}");
+                        assert!(b.credit.is_some(), "a pipelined iteration holds a credit");
                         a.recycle(&serial_pool);
                         b.recycle(&piped_pool);
                     }
@@ -1592,55 +1334,33 @@ mod tests {
                 iter += 1;
             }
             assert!(iter >= 2, "epoch too short to exercise the pipeline");
+            let credits = Arc::clone(piped.credits());
             piped.finish();
             serial.finish();
             assert_eq!(
-                piped_ctx.rings.in_flight_total(),
+                credits.held(),
                 0,
-                "staging slots leaked at ring depth {ring_depth}"
+                "credits held after finish at depth {depth}"
             );
         }
     }
 
     #[test]
     fn discarded_batches_return_buffers_to_their_roles() {
-        // Queued iterations discarded by `finish` hand each accelerator
-        // buffer back to its ring's free list and only the CPU trainer's
-        // to the shared pool, so no buffer grows to another role's size.
-        let (ctx, order) = ctx();
-        let pool = Arc::new(MatrixPool::new());
-        let quotas = vec![8usize, 8, 8];
-        let feed = IterationFeed::new(
-            Arc::clone(&ctx),
-            order,
-            0,
-            usize::MAX,
-            2,
-            Arc::clone(&pool),
-            quotas,
-        );
-        for _ in 0..500 {
-            if feed.buffered() >= 2 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert_eq!(feed.buffered(), 2, "producer never filled the queue");
+        // Queued iterations discarded by `finish` hand each feature buffer
+        // and mini-batch back to its own trainer's role, so no buffer
+        // grows to another role's size.
+        let (feed, pool, _) = feed_at(2);
+        wait_buffered(&feed, 2);
         feed.finish();
-        let lane_buffers =
-            |a: usize| std::iter::from_fn(|| ctx.rings.ring(a).take_buffer()).count();
-        let discarded = pool.idle();
-        assert!(discarded >= 2, "queued iterations were not recycled");
-        assert_eq!(lane_buffers(0), discarded);
-        assert_eq!(lane_buffers(1), discarded);
-        // each mini-batch went back to its own trainer's role: the queued
-        // iterations' and, if the producer was waiting at the slot gate,
-        // the one it had sampled but not yet gathered
         for trainer in 0..3 {
+            assert_eq!(pool.idle(trainer), 2, "trainer {trainer}'s feature buffers");
+            // the queued iterations' batches and, if the producer was
+            // parked at the gate, the one it had sampled but not gathered
             let batches = pool.idle_batches(trainer);
             assert!(
-                batches == discarded || batches == discarded + 1,
-                "trainer {trainer}: {batches} batches for {discarded} queued iterations"
+                batches == 2 || batches == 3,
+                "trainer {trainer}: {batches} batches for 2 queued iterations"
             );
             assert_eq!(batches, pool.idle_batches(0), "trainer {trainer}");
         }
@@ -1691,19 +1411,8 @@ mod tests {
     fn rebalance_resizes_pools_the_producer_observes() {
         // A balance_thread move must change the partition widths the
         // producer dispatches on — not only the simulated StageTimes —
-        // and must leave the staging rings untouched.
-        let (ctx, order) = ctx();
-        let pool = Arc::new(MatrixPool::new());
-        let quotas = vec![8usize, 8, 8];
-        let mut feed = IterationFeed::new(
-            Arc::clone(&ctx),
-            Arc::clone(&order),
-            0,
-            usize::MAX,
-            1,
-            Arc::clone(&pool),
-            quotas.clone(),
-        );
+        // and must leave the prepared iterations alone.
+        let (mut feed, pool, quotas) = feed_at(1);
         let before = feed.obtain(0, &quotas).expect("first iteration");
         assert_eq!(before.threads, ThreadAlloc::default_for(8));
         before.recycle(&pool);
@@ -1736,17 +1445,17 @@ mod tests {
             }
         }
         assert!(landed, "producer never observed the balance_thread move");
-        assert_eq!(feed.restarts(), 0, "thread moves must not drain the queue");
         assert_eq!(
-            feed.rings().drains_total(),
+            feed.restarts(),
             0,
-            "thread moves must not drain the staging rings"
+            "thread moves must not restart the producer"
         );
+        assert_eq!(feed.salvage_stats(), (0, 0), "thread moves must not flush");
         feed.finish();
     }
 
     #[test]
-    fn feed_restarts_on_quota_change_and_drains_changed_lanes() {
+    fn feed_reslices_only_changed_trainers_on_quota_change() {
         let (ctx, order) = ctx();
         let pool = Arc::new(MatrixPool::new());
         let quotas = vec![8usize, 8, 8];
@@ -1761,24 +1470,16 @@ mod tests {
         );
         let first = feed.obtain(0, &quotas).expect("first iteration");
         first.recycle(&pool);
-        assert_eq!(feed.rings().drains_total(), 0);
+        wait_buffered(&feed, 2);
         // consumer re-balances: 4 seeds move from trainer 1 (lane 0) to
-        // trainer 0 (the CPU). Lane 1's slice is untouched — surgical
-        // invalidation drains only lane 0's ring (the re-slice itself
-        // is deferred to the next obtain, where it coalesces bursts).
+        // trainer 0 (the CPU). Lane 1's slice is untouched, so both
+        // queued iterations keep its batch and re-slice the other two
+        // (the re-slice itself is deferred to the next obtain, where it
+        // coalesces bursts).
         let new_quotas = vec![12usize, 4, 8];
         feed.invalidate(1, new_quotas.clone());
         let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
-        assert_eq!(
-            feed.rings().ring(0).drains(),
-            1,
-            "the changed lane must record the drain"
-        );
-        assert_eq!(
-            feed.rings().ring(1).drains(),
-            0,
-            "an untouched lane must not be drained"
-        );
+        assert_eq!(feed.salvage_stats(), (2, 4), "(salvaged, flushed)");
         assert_eq!(second.quotas, new_quotas);
         assert_eq!(second.seed_sets[0].len(), 12);
         assert_eq!(second.seed_sets[1].len(), 4);
@@ -1791,27 +1492,17 @@ mod tests {
                 assert_eq!(x.as_slice(), y.as_slice());
             }
         }
-        assert!(feed.restarts() >= 1);
+        assert_eq!(feed.restarts(), 1);
         second.recycle(&pool);
         reference.recycle(&pool);
+        let credits = Arc::clone(feed.credits());
         feed.finish();
-        assert_eq!(ctx.rings.in_flight_total(), 0, "slots leaked after finish");
+        assert_eq!(credits.held(), 0, "credits held after finish");
     }
 
     #[test]
     fn zero_diff_invalidate_is_a_noop() {
-        let (ctx, order) = ctx();
-        let pool = Arc::new(MatrixPool::new());
-        let quotas = vec![8usize, 8, 8];
-        let mut feed = IterationFeed::new(
-            Arc::clone(&ctx),
-            Arc::clone(&order),
-            0,
-            usize::MAX,
-            2,
-            Arc::clone(&pool),
-            quotas.clone(),
-        );
+        let (mut feed, pool, quotas) = feed_at(2);
         let first = feed.obtain(0, &quotas).expect("first iteration");
         first.recycle(&pool);
         // a balance_work whose quotas equal the old ones must cost
@@ -1820,7 +1511,6 @@ mod tests {
         let second = feed.obtain(1, &quotas).expect("second iteration");
         assert_eq!(second.iter, 1);
         assert_eq!(feed.restarts(), 0, "zero-diff re-map restarted producer");
-        assert_eq!(feed.rings().drains_total(), 0, "zero-diff re-map drained");
         assert_eq!(feed.salvage_stats(), (0, 0), "zero-diff re-map flushed");
         second.recycle(&pool);
         feed.finish();
@@ -1830,18 +1520,7 @@ mod tests {
     fn cancelling_burst_coalesces_to_a_noop() {
         // two opposite balance_work moves recorded between obtains must
         // fold into a zero-diff re-map: one coalesce, zero re-slices
-        let (ctx, order) = ctx();
-        let pool = Arc::new(MatrixPool::new());
-        let quotas = vec![8usize, 8, 8];
-        let mut feed = IterationFeed::new(
-            Arc::clone(&ctx),
-            Arc::clone(&order),
-            0,
-            usize::MAX,
-            2,
-            Arc::clone(&pool),
-            quotas.clone(),
-        );
+        let (mut feed, pool, quotas) = feed_at(2);
         let first = feed.obtain(0, &quotas).expect("first iteration");
         first.recycle(&pool);
         feed.invalidate(1, vec![12, 4, 8]);
@@ -1850,7 +1529,6 @@ mod tests {
         let second = feed.obtain(1, &quotas).expect("second iteration");
         assert_eq!(second.iter, 1);
         assert_eq!(feed.restarts(), 0, "cancelled burst restarted producer");
-        assert_eq!(feed.rings().drains_total(), 0, "cancelled burst drained");
         assert_eq!(feed.salvage_stats(), (0, 0), "cancelled burst flushed");
         second.recycle(&pool);
         feed.finish();
@@ -1870,7 +1548,7 @@ mod tests {
             loader: 1,
             trainer: 1,
         };
-        let (ctx, order) = ctx_over(dataset, alloc, 2);
+        let (ctx, order) = ctx_over(dataset, alloc);
         let pool = Arc::new(MatrixPool::new());
         let quotas = vec![8usize, 8, 8];
         let inline = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1892,18 +1570,6 @@ mod tests {
         let message =
             panic_text(piped.expect_err("a dead producer must not read as the epoch's end"));
         assert_eq!(message, gather_message);
-    }
-
-    #[test]
-    fn try_acquire_never_blocks() {
-        let rings = Arc::new(StagingRings::new(1, 1));
-        let t0 = rings.try_acquire_token(0).expect("free slot");
-        assert!(
-            rings.try_acquire_token(0).is_none(),
-            "full ring must refuse"
-        );
-        drop(t0);
-        assert!(rings.try_acquire_token(0).is_some());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct WallStageTimes {
     pub iter_s: f64,
     /// Per-trainer batches that survived this iteration's DRM
     /// re-mapping events untouched (their trainer's seed slice did not
-    /// move): queued batch, pooled matrix, and staging slot all kept.
+    /// move): queued batch and pooled matrix both kept.
     /// Counters, not times — [`mean_of`](Self::mean_of) *sums* them, so
     /// an epoch summary carries epoch totals.
     pub batches_salvaged: usize,

@@ -169,9 +169,9 @@ impl StageTimes {
     }
 
     /// Overlap-aware accelerator time: propagation plus the *visible*
-    /// (un-hidden) share of the wire transfer. The staging rings hide
-    /// transfer time behind accelerator compute only when they are deep
-    /// enough (ring depth ≥ 2); a single staging buffer, or a
+    /// (un-hidden) share of the wire transfer. Device-side staging hides
+    /// transfer time behind accelerator compute only when it is double
+    /// buffered (with TFP); no overlap, or a
     /// bandwidth-bound lane whose wire time exceeds its compute, leaves
     /// `visible` seconds on the accelerator's critical path — and that
     /// is what the DRM should balance against, not the optimistic
@@ -266,7 +266,7 @@ mod tests {
             x.accel_with_visible((x.transfer - x.train_accel).max(0.0)),
             x.accel()
         );
-        // a fully-visible wire (ring depth 1) adds the whole transfer
+        // a fully-visible wire (no overlap) adds the whole transfer
         assert_eq!(x.accel_with_visible(x.transfer), 10.0);
         // a fully-hidden wire leaves only propagation
         assert_eq!(x.accel_with_visible(0.0), 6.0);

@@ -70,10 +70,10 @@ impl TransferWindow {
 /// already in flight, so the wire time of batch `i+1` can hide behind
 /// the accelerator compute of batch `i` only while the link is free.
 ///
-/// This is the timing-side twin of the executor's staging rings
-/// (`hyscale-core`'s `StagingRing`): the ring bounds how many batches
-/// may be in flight per accelerator; this model charges each of those
-/// in-flight transfers for the link time it actually gets.
+/// It works with the modeled staging ring
+/// ([`StagingModel`](crate::stage::StagingModel)): the ring bounds how
+/// many batches may be in flight per accelerator; this model charges
+/// each of those in-flight transfers for the link time it actually gets.
 ///
 /// ```
 /// use hyscale_device::pcie::{LinkOccupancy, PcieLink};

@@ -1,10 +1,10 @@
 //! System-level DRM behaviour (paper §IV-A): starting from a bad task
 //! mapping, Algorithm 1 must converge to a faster one while preserving
 //! the per-iteration seed total and the CPU thread budget — and its two
-//! move kinds must have the right drain semantics on the producer's
-//! staging rings: `balance_work` drains *only the lanes whose share
-//! moved* (salvaging the untouched trainers' queued batches; a
-//! zero-diff move drains nothing), `balance_thread` drains none.
+//! move kinds must have the right invalidation semantics on the
+//! producer's queue: `balance_work` re-slices *only the trainers whose
+//! share moved* (salvaging the untouched trainers' queued batches; a
+//! zero-diff move flushes nothing), `balance_thread` flushes none.
 
 use hyscale::core::drm::{DrmEngine, ThreadAlloc, WorkloadSplit};
 use hyscale::core::{AcceleratorKind, PerfModel, SystemConfig};
@@ -141,30 +141,24 @@ fn balance_thread_resizes_live_worker_pools() {
 }
 
 /// Build an [`IterationFeed`] over a toy dataset with `num_accel`
-/// accelerator trainers, prefetch depth `depth`, and staging rings of
-/// `ring_depth` slots, plus the quotas it was spawned under.
-mod ring_fixture {
+/// accelerator trainers and prefetch depth `depth`, plus the quotas it
+/// was spawned under.
+mod feed_fixture {
     use hyscale::core::drm::ThreadAlloc;
     use hyscale::core::stages::StageWorkers;
-    use hyscale::core::{IterationFeed, MatrixPool, PrepareCtx, StagingRings};
+    use hyscale::core::{IterationFeed, MatrixPool, PrepareCtx};
     use hyscale::graph::Dataset;
     use hyscale::sampler::{EpochBatcher, NeighborSampler};
     use hyscale::tensor::quant::WireFeatures;
     use hyscale::tensor::Precision;
     use std::sync::Arc;
 
-    pub fn feed(
-        num_accel: usize,
-        depth: usize,
-        ring_depth: usize,
-    ) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
-        feed_with_quotas(num_accel, depth, ring_depth, vec![8usize; 1 + num_accel])
+    pub fn feed(num_accel: usize, depth: usize) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
+        feed_with_quotas(depth, vec![8usize; 1 + num_accel])
     }
 
     pub fn feed_with_quotas(
-        num_accel: usize,
         depth: usize,
-        ring_depth: usize,
         quotas: Vec<usize>,
     ) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
         let dataset = Arc::new(Dataset::toy(5));
@@ -178,7 +172,6 @@ mod ring_fixture {
             hybrid: true,
             workers: Arc::new(StageWorkers::from_alloc(&ThreadAlloc::default_for(8))),
             numa_domains: 2,
-            rings: Arc::new(StagingRings::new(num_accel, ring_depth)),
         });
         let pool = Arc::new(MatrixPool::new());
         let feed = IterationFeed::new(
@@ -208,21 +201,30 @@ mod ring_fixture {
             feed.buffered()
         );
     }
+
+    /// Tear the feed down and check that no prefetch credit outlives it.
+    pub fn finish(feed: IterationFeed) {
+        let credits = Arc::clone(feed.credits());
+        feed.finish();
+        assert_eq!(credits.held(), 0, "credit held after finish");
+    }
 }
 
-/// `balance_work` semantics are *surgical*: a quota change invalidates
-/// only the trainers whose seed slice moved and drains only the staging
-/// rings of the lanes whose share moved.
-/// Untouched lanes keep their drain counts and their staged batches.
-/// (The re-slice itself is deferred to the next `obtain`, where bursts
-/// coalesce.)
+/// `balance_work` semantics are *surgical*: a quota change re-slices
+/// only the trainers whose seed slice moved. Untouched lanes keep their
+/// queued batches. (The re-slice itself is deferred to the next
+/// `obtain`, where bursts coalesce.)
 #[test]
 fn balance_work_drains_only_changed_lanes() {
-    let (mut feed, pool, quotas) = ring_fixture::feed(2, 2, 2);
+    let (mut feed, pool, quotas) = feed_fixture::feed(2, 2);
     let first = feed.obtain(0, &quotas).expect("first iteration");
-    assert_eq!(first.slots.len(), 2, "one staging slot per accel batch");
+    assert_eq!(
+        first.features.iter().flatten().count(),
+        3,
+        "one feature batch per trainer"
+    );
     first.recycle(&pool);
-    assert_eq!(feed.rings().drains_total(), 0);
+    feed_fixture::wait_buffered(&feed, 2);
 
     // the DRM moves 4 seeds from accel trainer 1 (lane 0) to the CPU
     // trainer; lane 1's slice (prefix 16, quota 8) is untouched
@@ -231,36 +233,40 @@ fn balance_work_drains_only_changed_lanes() {
     let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
     second.recycle(&pool);
     assert_eq!(feed.restarts(), 1, "balance_work must restart the producer");
-    assert_eq!(feed.rings().ring(0).drains(), 1, "changed lane drained");
-    assert_eq!(feed.rings().ring(1).drains(), 0, "untouched lane spared");
+    assert_eq!(
+        feed.salvage_stats(),
+        (2, 4),
+        "both queued iterations keep lane 1 and re-slice the CPU and lane 0"
+    );
 
     // the reverse move changes lane 0 again, and again spares lane 1
+    feed_fixture::wait_buffered(&feed, 2);
     let newer_quotas = vec![8usize, 8, 8];
     feed.invalidate(2, newer_quotas.clone());
-    let third = feed.obtain(2, &newer_quotas).expect("post-drain iteration");
+    let third = feed.obtain(2, &newer_quotas).expect("post-remap iteration");
     assert_eq!(third.quotas, newer_quotas);
-    assert_eq!(feed.rings().ring(0).drains(), 2);
-    assert_eq!(feed.rings().ring(1).drains(), 0);
+    assert_eq!(feed.salvage_stats(), (4, 8));
     third.recycle(&pool);
-    let rings = std::sync::Arc::clone(feed.rings());
-    feed.finish();
-    assert_eq!(rings.in_flight_total(), 0, "slots leaked");
+    feed_fixture::finish(feed);
 }
 
 /// The ROADMAP coalescing follow-up, pinned: two back-to-back
 /// `balance_work` moves of the *same* trainer (lane 0 donates seeds to
 /// the CPU twice before the consumer's next obtain) must fold into ONE
-/// re-slice against the final quotas — one producer restart, one ring
-/// drain, and the queued iterations re-sliced once, not twice.
+/// re-slice against the final quotas — one producer restart, and the
+/// queued iterations re-sliced once, not twice.
 #[test]
 fn burst_of_same_trainer_moves_reslices_once() {
     let old_quotas = vec![12usize, 8, 8, 8];
-    let (mut feed, pool, _) = ring_fixture::feed_with_quotas(3, 3, 2, old_quotas.clone());
+    let (mut feed, pool, _) = feed_fixture::feed_with_quotas(2, old_quotas.clone());
     let first = feed.obtain(0, &old_quotas).expect("first iteration");
     first.recycle(&pool);
-    ring_fixture::wait_buffered(&feed, 2);
+    feed_fixture::wait_buffered(&feed, 2);
     let queued = feed.buffered();
-    assert_eq!(queued, 2, "ring depth 2 caps the prepared look-ahead at 2");
+    assert_eq!(
+        queued, 2,
+        "prefetch depth 2 caps the prepared look-ahead at 2"
+    );
 
     // burst: [12,8,8,8] -> [14,6,8,8] -> [16,4,8,8], both moving seeds
     // from lane 0 to the CPU, recorded back-to-back between obtains
@@ -275,13 +281,9 @@ fn burst_of_same_trainer_moves_reslices_once() {
     assert_eq!(second.seed_sets[1].len(), 4);
     second.recycle(&pool);
 
-    // ONE re-slice for the whole burst: lane 0 drained once, untouched
-    // lanes spared, producer restarted once, and each queued
-    // iteration's movers flushed exactly once
+    // ONE re-slice for the whole burst: producer restarted once, and
+    // each queued iteration's movers flushed exactly once
     assert_eq!(feed.restarts(), 1, "burst must pay a single restart");
-    assert_eq!(feed.rings().ring(0).drains(), 1, "lane 0 drains once");
-    assert_eq!(feed.rings().ring(1).drains(), 0);
-    assert_eq!(feed.rings().ring(2).drains(), 0);
     let (salvaged, flushed) = feed.salvage_stats();
     assert_eq!(
         salvaged,
@@ -293,26 +295,29 @@ fn burst_of_same_trainer_moves_reslices_once() {
         2 * queued,
         "CPU + lane 0 of every queued iteration re-sliced exactly once"
     );
-    feed.finish();
+    feed_fixture::finish(feed);
 }
 
 /// The headline salvage pin: with 3 accelerator lanes, a quota diff
 /// touching the CPU trainer and lane 0 (prefixes and quotas of lanes 1
-/// and 2 unchanged) drains exactly lane 0's ring and salvages the
-/// queued batches of the untouched trainers instead of flushing them.
+/// and 2 unchanged) salvages the queued batches of the untouched
+/// trainers instead of flushing them.
 #[test]
 fn single_lane_quota_diff_salvages_untouched_trainers() {
     let old_quotas = vec![12usize, 8, 8, 8];
-    let (mut feed, pool, _) = ring_fixture::feed_with_quotas(3, 3, 2, old_quotas.clone());
+    let (mut feed, pool, _) = feed_fixture::feed_with_quotas(2, old_quotas.clone());
     let first = feed.obtain(0, &old_quotas).expect("first iteration");
     first.recycle(&pool);
-    // Wait for the producer's *steady* fill: at ring depth 2 exactly two
-    // iterations can be fully prepared (each holds a slot per lane; the
-    // third blocks in acquire_slots), so the buffered count is stable at
-    // 2 and the salvage accounting below is deterministic.
-    ring_fixture::wait_buffered(&feed, 2);
+    // Wait for the producer's *steady* fill: at prefetch depth 2 exactly
+    // two iterations can be fully prepared (each holds a credit; the
+    // third parks on the gate before gathering), so the buffered count
+    // is stable at 2 and the salvage accounting below is deterministic.
+    feed_fixture::wait_buffered(&feed, 2);
     let queued = feed.buffered();
-    assert_eq!(queued, 2, "ring depth 2 caps the prepared look-ahead at 2");
+    assert_eq!(
+        queued, 2,
+        "prefetch depth 2 caps the prepared look-ahead at 2"
+    );
 
     // 4 seeds move from lane 0 to the CPU: [12,8,8,8] -> [16,4,8,8].
     // Lanes 1 and 2 keep both prefix (20, 28) and quota (8, 8).
@@ -320,10 +325,6 @@ fn single_lane_quota_diff_salvages_untouched_trainers() {
     feed.invalidate(1, new_quotas.clone());
     // deferred: the re-slice runs at the next obtain
     let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
-
-    assert_eq!(feed.rings().ring(0).drains(), 1, "moved lane must drain");
-    assert_eq!(feed.rings().ring(1).drains(), 0, "lane 1 spared");
-    assert_eq!(feed.rings().ring(2).drains(), 0, "lane 2 spared");
 
     let (salvaged, flushed) = feed.salvage_stats();
     assert!(
@@ -352,18 +353,16 @@ fn single_lane_quota_diff_salvages_untouched_trainers() {
     assert_eq!(second.seed_sets[2].len(), 8);
     assert_eq!(second.seed_sets[3].len(), 8);
     second.recycle(&pool);
-    let rings = std::sync::Arc::clone(feed.rings());
-    feed.finish();
-    assert_eq!(rings.in_flight_total(), 0, "slots leaked");
+    feed_fixture::finish(feed);
 }
 
 /// Regression for the latent zero-diff bug: a `balance_work` whose new
 /// quotas equal the old used to pay a full drain + producer restart.
-/// It must now be a complete no-op — nothing drained, nothing flushed,
-/// no restart — and the feed keeps serving without a hiccup.
+/// It must now be a complete no-op — nothing flushed, no restart — and
+/// the feed keeps serving without a hiccup.
 #[test]
 fn zero_diff_balance_work_drains_nothing() {
-    let (mut feed, pool, quotas) = ring_fixture::feed(3, 2, 2);
+    let (mut feed, pool, quotas) = feed_fixture::feed(3, 2);
     let first = feed.obtain(0, &quotas).expect("first iteration");
     first.recycle(&pool);
 
@@ -378,7 +377,6 @@ fn zero_diff_balance_work_drains_nothing() {
         0,
         "zero-diff re-map restarted the producer"
     );
-    assert_eq!(feed.rings().drains_total(), 0, "zero-diff re-map drained");
     assert_eq!(
         feed.salvage_stats(),
         (0, 0),
@@ -389,15 +387,15 @@ fn zero_diff_balance_work_drains_nothing() {
         0.0,
         "a no-op re-map must not charge invalidation time"
     );
-    feed.finish();
+    feed_fixture::finish(feed);
 }
 
 /// `balance_thread` semantics: re-sizing the worker pools must leave
-/// the staging rings intact: no drain, no restart, staged batches stay
-/// valid (widths change wall-clock, never bytes).
+/// the prepared iterations intact: no flush, no restart, queued batches
+/// stay valid (widths change wall-clock, never bytes).
 #[test]
-fn balance_thread_leaves_staging_rings_intact() {
-    let (mut feed, pool, quotas) = ring_fixture::feed(2, 2, 2);
+fn balance_thread_keeps_prepared_iterations() {
+    let (mut feed, pool, quotas) = feed_fixture::feed(2, 2);
     let first = feed.obtain(0, &quotas).expect("first iteration");
     first.recycle(&pool);
 
@@ -409,14 +407,9 @@ fn balance_thread_leaves_staging_rings_intact() {
     feed.rebalance_threads(&moved);
     assert_eq!(feed.workers().observed(), moved);
     assert_eq!(feed.restarts(), 0, "balance_thread must not restart");
-    assert_eq!(
-        feed.rings().drains_total(),
-        0,
-        "balance_thread must not drain the staging rings"
-    );
 
-    // prepared iterations keep flowing through the untouched rings,
-    // including across a second width change mid-stream
+    // prepared iterations keep flowing, including across a second width
+    // change mid-stream
     for iter in 1..=3 {
         if iter == 2 {
             feed.rebalance_threads(&ThreadAlloc {
@@ -427,41 +420,48 @@ fn balance_thread_leaves_staging_rings_intact() {
             assert_eq!(feed.workers().loader().width(), 1, "loader narrowed live");
         }
         let prep = feed.obtain(iter, &quotas).expect("post-move iteration");
-        assert_eq!(prep.slots.len(), 2);
+        assert_eq!(prep.features.iter().flatten().count(), 3);
         prep.recycle(&pool);
     }
-    assert_eq!(feed.rings().drains_total(), 0);
-    let rings = std::sync::Arc::clone(feed.rings());
-    feed.finish();
-    assert_eq!(rings.in_flight_total(), 0, "slots leaked");
+    assert_eq!(feed.restarts(), 0);
+    assert_eq!(
+        feed.salvage_stats(),
+        (0, 0),
+        "balance_thread must not flush prepared iterations"
+    );
+    feed_fixture::finish(feed);
 }
 
-/// Lane starvation: every ring slot is held by the consumer, so the
-/// producer is parked on slot acquisition with a gathered iteration in
-/// hand — a DRM re-map fired in that state must neither deadlock nor
-/// corrupt service, and its ring drain is surgical.
+/// Credit starvation: the consumer holds the only prefetch credit, so
+/// the producer is parked on the gate with a sampled iteration in hand
+/// — a DRM re-map fired in that state must neither deadlock nor corrupt
+/// service.
 #[test]
 fn lane_starvation_survives_remap_without_deadlock() {
-    // ring depth 1 + held slots: after iteration 0 is obtained (and NOT
-    // recycled), both rings' single slots stay occupied, so the
-    // producer gathers iteration 1 and blocks on slot acquisition.
-    let (mut feed, pool, quotas) = ring_fixture::feed(2, 1, 1);
+    // prefetch depth 1 + a held iteration: after iteration 0 is obtained
+    // (and NOT recycled), its credit stays taken, so the producer samples
+    // iteration 1 and parks before gathering it.
+    let (mut feed, pool, quotas) = feed_fixture::feed(2, 1);
     let held = feed.obtain(0, &quotas).expect("first iteration");
-    assert_eq!(held.slots.len(), 2, "iteration 0 holds both rings' slots");
-    // give the producer time to wedge against the held slots
+    assert_eq!(
+        feed.credits().held(),
+        1,
+        "iteration 0 holds the only credit"
+    );
+    // give the producer time to park on the gate
     std::thread::sleep(std::time::Duration::from_millis(50));
     assert_eq!(
         feed.buffered(),
         0,
-        "nothing can be staged while slots are held"
+        "nothing can be gathered while the credit is held"
     );
 
     // re-map while the producer is starved: lane 0's slice moves,
     // lane 1 settles
     let new_quotas = vec![10usize, 6, 8];
     feed.invalidate(1, new_quotas.clone());
-    // release the held slots only now — the apply path must cope with a
-    // producer that was fully wedged
+    // return the credit only now — the apply path must cope with a
+    // producer that was parked
     held.recycle(&pool);
     let next = feed
         .obtain(1, &new_quotas)
@@ -469,36 +469,33 @@ fn lane_starvation_survives_remap_without_deadlock() {
     assert_eq!(next.quotas, new_quotas);
     assert_eq!(next.seed_sets[0].len(), 10);
     assert_eq!(next.seed_sets[1].len(), 6);
-    assert_eq!(feed.rings().ring(0).drains(), 1, "moved lane drained");
-    assert_eq!(feed.rings().ring(1).drains(), 0, "settled lane spared");
+    assert_eq!(feed.restarts(), 1, "the re-map restarts the producer once");
     next.recycle(&pool);
     // the feed keeps serving normally afterwards
     let after = feed.obtain(2, &new_quotas).expect("steady service resumes");
     after.recycle(&pool);
-    let rings = std::sync::Arc::clone(feed.rings());
-    feed.finish();
-    assert_eq!(rings.in_flight_total(), 0, "slots leaked");
+    feed_fixture::finish(feed);
 }
 
-/// Single-slot rings (ring depth 1) still serve the feed correctly —
-/// the producer just serializes against slot release.
+/// A single-credit feed (prefetch depth 1) still serves correctly — the
+/// producer just waits for each iteration's recycle before gathering
+/// the next — and re-slices under a re-map.
 #[test]
-fn single_slot_rings_serve_and_drain() {
-    let (mut feed, pool, quotas) = ring_fixture::feed(2, 1, 1);
+fn single_credit_feed_serves_and_reslices() {
+    let (mut feed, pool, quotas) = feed_fixture::feed(2, 1);
     for iter in 0..3 {
         let prep = feed.obtain(iter, &quotas).expect("iteration");
-        assert_eq!(prep.slots.len(), 2);
-        assert!(prep.slots.iter().all(|s| s.accel() < 2));
+        assert_eq!(prep.features.iter().flatten().count(), 3);
+        assert_eq!(feed.credits().held(), 1);
         prep.recycle(&pool);
     }
     let new_quotas = vec![10usize, 6, 8];
     feed.invalidate(3, new_quotas.clone());
-    let next = feed.obtain(3, &new_quotas).expect("post-drain");
-    // surgical: only lane 0's slice moved ([8..16] -> [10..16])
-    assert_eq!(feed.rings().ring(0).drains(), 1);
-    assert_eq!(feed.rings().ring(1).drains(), 0);
+    let next = feed.obtain(3, &new_quotas).expect("post-remap");
+    // only lane 0's slice moved ([8..16] -> [10..16])
+    assert_eq!(feed.restarts(), 1);
+    assert_eq!(next.seed_sets[1].len(), 6);
+    assert_eq!(next.seed_sets[2].len(), 8);
     next.recycle(&pool);
-    let rings = std::sync::Arc::clone(feed.rings());
-    feed.finish();
-    assert_eq!(rings.in_flight_total(), 0);
+    feed_fixture::finish(feed);
 }

@@ -8,7 +8,7 @@
 //!   exactly the gradients of a sequential reduction over the same
 //!   batches;
 //! * the timing-layer optimizations (TFP) change no numerics at all;
-//! * the *real* prefetching pipeline (background producer + bounded
+//! * the *real* prefetching pipeline (background producer + credit-gated
 //!   queue, `prefetch_depth > 0`) trains bitwise-identical weights to
 //!   serial execution, including across DRM re-mapping events;
 //! * replicas stay in bitwise lock-step across iterations.
@@ -143,14 +143,14 @@ fn accelerator_kind_does_not_change_numerics() {
 }
 
 /// The real prefetching pipeline is pure wall-clock overlap: for every
-/// prefetch depth in {1, 2, 4} × staging-ring depth in {1, 2}, final
-/// weights are bitwise-identical to serial execution (`depth = 0`).
+/// prefetch depth in {1, 2, 3, 4}, final weights are bitwise-identical
+/// to serial execution (`depth = 0`).
 /// DRM is pinned off here so the whole epoch runs through an
 /// uninterrupted producer queue.
 #[test]
 fn prefetch_depths_are_bitwise_identical_to_serial() {
     use hyscale::core::drm::{ThreadAlloc, WorkloadSplit};
-    let run = |depth: usize, ring_depth: usize| {
+    let run = |depth: usize| {
         let ds = Dataset::toy(29);
         let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::GraphSage);
         cfg.platform.num_accelerators = 2;
@@ -164,7 +164,6 @@ fn prefetch_depths_are_bitwise_identical_to_serial() {
         cfg.train.hidden_dim = 16;
         cfg.train.max_functional_iters = Some(5);
         cfg.train.prefetch_depth = depth;
-        cfg.train.staging_ring_depth = ring_depth;
         let mut t = HybridTrainer::new(cfg, ds);
         t.set_mapping(
             WorkloadSplit::new(48, 144, 2),
@@ -173,15 +172,13 @@ fn prefetch_depths_are_bitwise_identical_to_serial() {
         t.train_epochs(3);
         t.model().flatten_params()
     };
-    let serial = run(0, 2);
-    for ring_depth in [1usize, 2] {
-        for depth in [1usize, 2, 4] {
-            assert_eq!(
-                serial,
-                run(depth, ring_depth),
-                "prefetch depth {depth} at ring depth {ring_depth} altered training numerics"
-            );
-        }
+    let serial = run(0);
+    for depth in [1usize, 2, 3, 4] {
+        assert_eq!(
+            serial,
+            run(depth),
+            "prefetch depth {depth} altered training numerics"
+        );
     }
 }
 
@@ -294,23 +291,17 @@ fn thread_allocs_are_bitwise_identical_across_depths() {
 }
 
 /// Live DRM with both move kinds firing mid-epoch: `balance_work`
-/// re-maps quotas (draining the queue *and* the changed lanes' staging
-/// rings) and `balance_thread` re-sizes the worker pools in place
-/// (draining nothing) — weights, losses, and the DRM
-/// trajectory itself must stay bitwise-identical to serial at prefetch
-/// depths {1, 2}, for each staging-ring depth {1, 2}, and the
-/// measured-wall trace must show the thread shift landing.
-///
-/// The serial reference is taken *per ring depth*: the overlap-aware
-/// DRM legitimately decides differently at ring depth 1 (the wire is
-/// fully visible on the accelerator's critical path) than at depth 2
-/// (double-buffered), so ring depth steers the trajectory — but
-/// *prefetch depth never may*: any real-pipeline depth must reproduce
-/// its own ring depth's serial trajectory bitwise.
+/// re-maps quotas (re-slicing the queued iterations of the changed
+/// trainers) and `balance_thread` re-sizes the worker pools in place
+/// (discarding nothing) — weights, losses, and the DRM trajectory
+/// itself must stay bitwise-identical to serial at prefetch depths
+/// {1, 2, 3, 4}, and the measured-wall trace must show the thread shift
+/// landing. Prefetch depth never steers the trajectory: every depth
+/// reproduces the one serial trajectory bitwise.
 #[test]
 fn thread_rebalance_mid_epoch_is_bitwise_identical() {
     use hyscale::core::drm::DrmAction;
-    let run = |depth: usize, ring_depth: usize| {
+    let run = |depth: usize| {
         let ds = Dataset::toy(31);
         let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::Gcn);
         cfg.platform.num_accelerators = 2;
@@ -324,7 +315,6 @@ fn thread_rebalance_mid_epoch_is_bitwise_identical() {
         cfg.train.hidden_dim = 16;
         cfg.train.max_functional_iters = Some(8);
         cfg.train.prefetch_depth = depth;
-        cfg.train.staging_ring_depth = ring_depth;
         let mut t = HybridTrainer::new(cfg, ds);
         let reports = t.train_epochs(2);
         let thread_moves: usize = reports
@@ -351,17 +341,16 @@ fn thread_rebalance_mid_epoch_is_bitwise_identical() {
             observed_allocs,
         )
     };
-    let ring2_serial = run(0, 2);
-    let (_, _, ref ring2_actions, ring2_moves, ref serial_allocs) = ring2_serial;
+    let (serial_params, serial_losses, serial_actions, serial_moves, serial_allocs) = run(0);
     assert!(
-        ring2_moves >= 1,
+        serial_moves >= 1,
         "config never triggered a balance_thread move — the re-allocation path went unexercised"
     );
     assert!(
-        ring2_actions
+        serial_actions
             .iter()
             .any(|(_, a, _)| matches!(a, DrmAction::BalanceWork { .. })),
-        "config never triggered a balance_work move — the ring-drain path went unexercised"
+        "config never triggered a balance_work move — the re-slice path went unexercised"
     );
     // The wall-clock trace shows the re-allocation land: the producer's
     // observed widths change across the epoch.
@@ -373,26 +362,18 @@ fn thread_rebalance_mid_epoch_is_bitwise_identical() {
         distinct.len() >= 2,
         "balance_thread never shifted the widths the producer observed: {serial_allocs:?}"
     );
-    for ring_depth in [1usize, 2] {
-        // ring 2's serial reference was already computed above
-        let (serial_params, serial_losses, serial_actions, serial_moves, _) = if ring_depth == 2 {
-            ring2_serial.clone()
-        } else {
-            run(0, ring_depth)
-        };
-        for depth in [1usize, 2] {
-            let (params, losses, actions, moves, _) = run(depth, ring_depth);
-            assert_eq!(
-                serial_actions, actions,
-                "depth {depth} ring {ring_depth} saw a different DRM trajectory"
-            );
-            assert_eq!(serial_moves, moves);
-            assert_eq!(
-                serial_params, params,
-                "depth {depth} ring {ring_depth} diverged from serial across live DRM moves"
-            );
-            assert_eq!(serial_losses, losses);
-        }
+    for depth in [1usize, 2, 3, 4] {
+        let (params, losses, actions, moves, _) = run(depth);
+        assert_eq!(
+            serial_actions, actions,
+            "depth {depth} saw a different DRM trajectory"
+        );
+        assert_eq!(serial_moves, moves);
+        assert_eq!(
+            serial_params, params,
+            "depth {depth} diverged from serial across live DRM moves"
+        );
+        assert_eq!(serial_losses, losses);
     }
 }
 

@@ -59,80 +59,6 @@ fn scalability_trends_match_fig9() {
     );
 }
 
-/// Per-lane transfer model: with ≥ 2 accelerators in a transfer-bound
-/// regime, concurrent per-accelerator transfer lanes must predict a
-/// *strictly* smaller epoch wall than the serialized single-transfer-
-/// thread model (which pays the sum of the lane times per iteration);
-/// with 1 accelerator the two models must agree exactly.
-#[test]
-fn concurrent_lanes_beat_serialized_transfer_when_transfer_bound() {
-    use hyscale::core::pipeline::{
-        simulate_pipeline_multilane, simulate_pipeline_ringed, PipelineStageCosts,
-    };
-
-    // products + GCN is the paper's PCIe-bound regime (§VI-D); the
-    // model's own per-lane wire times drive the comparison
-    let cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::Gcn);
-    let pm = PerfModel::new(&cfg);
-    let (split, threads) = pm.initial_mapping(&OGBN_PRODUCTS);
-    let times = pm.stage_times(&OGBN_PRODUCTS, &split, &threads);
-    let lane_times = pm.lane_transfer_times(&OGBN_PRODUCTS, &split);
-    assert!(lane_times.len() >= 2, "paper node has 4 accelerators");
-
-    let costs = PipelineStageCosts {
-        sample: times.sampling(),
-        load: times.load,
-        transfer: 0.0, // replaced by the lane times below
-        propagate: times.propagation(),
-    };
-    // transfer-bound for the serialized thread: the summed wire time
-    // exceeds every other stage
-    let summed: f64 = lane_times.iter().sum();
-    assert!(
-        summed > costs.sample && summed > costs.load && summed > costs.propagate,
-        "fixture is not transfer-bound: sum {summed} vs {costs:?}"
-    );
-
-    let n = 40;
-    for (depth, ring) in [(2usize, 2usize), (3, 2), (2, 1)] {
-        let serialized =
-            simulate_pipeline_multilane(&costs, &lane_times, n, depth, ring, 1).makespan;
-        let concurrent =
-            simulate_pipeline_multilane(&costs, &lane_times, n, depth, ring, lane_times.len())
-                .makespan;
-        assert!(
-            concurrent < serialized - 1e-9,
-            "depth {depth} ring {ring}: concurrent lanes must strictly beat the \
-             serialized transfer thread when ≥2 lanes are transfer-bound: \
-             {concurrent} vs {serialized}"
-        );
-    }
-
-    // 1 accelerator: lane concurrency is vacuous — the multilane model
-    // must agree with the serialized (ringed) model exactly, at any cap
-    let mut cfg1 = cfg.clone();
-    cfg1.platform.num_accelerators = 1;
-    let pm1 = PerfModel::new(&cfg1);
-    let (split1, threads1) = pm1.initial_mapping(&OGBN_PRODUCTS);
-    let times1 = pm1.stage_times(&OGBN_PRODUCTS, &split1, &threads1);
-    let lanes1 = pm1.lane_transfer_times(&OGBN_PRODUCTS, &split1);
-    assert_eq!(lanes1.len(), 1);
-    let costs1 = PipelineStageCosts {
-        sample: times1.sampling(),
-        load: times1.load,
-        transfer: lanes1[0],
-        propagate: times1.propagation(),
-    };
-    let reference = simulate_pipeline_ringed(&costs1, n, 2, 2);
-    for cap in [1usize, 4] {
-        let lane_run = simulate_pipeline_multilane(&costs1, &lanes1, n, 2, 2, cap);
-        assert_eq!(
-            reference.completions, lane_run.completions,
-            "single-accelerator models must agree exactly (cap {cap})"
-        );
-    }
-}
-
 #[test]
 fn throughput_metric_is_consistent() {
     // Eq. 5: MTEPS must equal edges/iteration / iteration-time

@@ -245,34 +245,6 @@ proptest! {
         prop_assert_eq!(g.targets(), g2.targets());
     }
 
-    /// Surgical invalidation preserves the quota-sum invariant the
-    /// salvage logic keys on: for random splits and random
-    /// `balance_work` deltas, the per-trainer quota diff marks a
-    /// trainer changed exactly when its slice `(prefix, len)` moved.
-    #[test]
-    fn quota_diff_matches_slice_comparison(
-        cpu in 0usize..512,
-        total_extra in 4usize..2048,
-        accels in 1usize..6,
-        delta in 0usize..600,
-        to_cpu in 0u8..2,
-    ) {
-        use hyscale::core::drm::QuotaDiff;
-        let total = cpu + total_extra.max(accels);
-        let mut split = WorkloadSplit::new(cpu.min(total), total, accels);
-        let old = split.quotas();
-        if to_cpu == 1 { split.shift_to_cpu(delta); } else { split.shift_to_accel(delta); }
-        let new = split.quotas();
-        let diff = QuotaDiff::between(&old, &new);
-        // reference: slice-by-slice comparison
-        let prefix = |q: &[usize], t: usize| q[..t].iter().sum::<usize>();
-        for t in 0..new.len() {
-            let moved = prefix(&old, t) != prefix(&new, t) || old[t] != new[t];
-            prop_assert_eq!(diff.trainer_changed(t), moved, "trainer {}", t);
-        }
-        prop_assert_eq!(diff.is_noop(), old == new);
-    }
-
     /// Any sequence of DRM decisions conserves the seed total, the
     /// thread budget, and the sampling-share range.
     #[test]
@@ -304,14 +276,12 @@ proptest! {
 
 /// Train two epochs of a small hybrid configuration under a scripted
 /// DRM schedule, returning the flattened weights and per-epoch losses.
-/// Every run of this function with the same `(precision, depth,
-/// ring_depth)` and schedule must agree bitwise; runs with *different*
-/// depths and ring depths at one precision must agree too — that is the
-/// property under test.
+/// Every run of this function with the same `(precision, depth)` and
+/// schedule must agree bitwise; runs with *different* depths at one
+/// precision must agree too — that is the property under test.
 fn run_scheduled(
     precision: Precision,
     depth: usize,
-    ring_depth: usize,
     schedule: &[ScriptedDrmEvent],
 ) -> (Vec<f32>, Vec<f32>) {
     let ds = hyscale::graph::Dataset::toy(41);
@@ -327,7 +297,6 @@ fn run_scheduled(
     cfg.train.hidden_dim = 8;
     cfg.train.max_functional_iters = Some(6);
     cfg.train.prefetch_depth = depth;
-    cfg.train.staging_ring_depth = ring_depth;
     cfg.train.transfer_precision = precision;
     let mut t = HybridTrainer::new(cfg, ds);
     t.set_mapping(WorkloadSplit::new(32, 96, 2), ThreadAlloc::default_for(16));
@@ -347,7 +316,7 @@ proptest! {
     /// zero-diff moves), `balance_thread`, and no-op events at random
     /// iterations must train bitwise-identical weights and losses to
     /// serial execution for every wire precision {F32, Int8} × prefetch
-    /// depth {1, 2} × staging-ring depth {1, 2}. This is what licenses
+    /// depth {1, 2, 3, 4}. This is what licenses
     /// the surgical invalidator to salvage queued batches instead of
     /// flushing them, and the re-slice to re-gather movers from the
     /// wire view.
@@ -376,21 +345,19 @@ proptest! {
             })
             .collect();
         for precision in [Precision::F32, Precision::Int8] {
-            let (serial_params, serial_losses) = run_scheduled(precision, 0, 2, &schedule);
-            for ring_depth in [1usize, 2] {
-                for depth in [1usize, 2] {
-                    let (params, losses) = run_scheduled(precision, depth, ring_depth, &schedule);
-                    prop_assert_eq!(
-                        &serial_params, &params,
-                        "{:?} depth {} ring {} diverged from serial under {:?}",
-                        precision, depth, ring_depth, schedule
-                    );
-                    prop_assert_eq!(
-                        &serial_losses, &losses,
-                        "{:?} depth {} ring {} changed the loss trajectory under {:?}",
-                        precision, depth, ring_depth, schedule
-                    );
-                }
+            let (serial_params, serial_losses) = run_scheduled(precision, 0, &schedule);
+            for depth in [1usize, 2, 3, 4] {
+                let (params, losses) = run_scheduled(precision, depth, &schedule);
+                prop_assert_eq!(
+                    &serial_params, &params,
+                    "{:?} depth {} diverged from serial under {:?}",
+                    precision, depth, schedule
+                );
+                prop_assert_eq!(
+                    &serial_losses, &losses,
+                    "{:?} depth {} changed the loss trajectory under {:?}",
+                    precision, depth, schedule
+                );
             }
         }
     }
@@ -400,10 +367,10 @@ proptest! {
 /// slams nearly the whole batch onto the CPU trainer (leaving each
 /// accelerator lane the 1-seed minimum — fat CPU batches, starved
 /// accelerator batches) and then back, at the tightest pipeline
-/// configuration (prefetch 1, ring 1) where the producer waits on a
-/// single staging slot. Bitwise equivalence with serial must survive at
-/// both wire precisions, and so must a prefetch depth deep enough for
-/// the queue to actually back up.
+/// configuration (prefetch depth 1) where the producer waits on a
+/// single credit. Bitwise equivalence with serial must survive at both
+/// wire precisions, and so must a prefetch depth deep enough for the
+/// queue to actually back up.
 #[test]
 fn lane_starvation_script_is_bitwise_equivalent() {
     let schedule: Vec<ScriptedDrmEvent> = vec![
@@ -432,18 +399,16 @@ fn lane_starvation_script_is_bitwise_equivalent() {
         },
     ];
     for precision in [Precision::F32, Precision::Int8] {
-        let (serial_params, serial_losses) = run_scheduled(precision, 0, 2, &schedule);
-        for (depth, ring_depth) in [(1usize, 1usize), (2, 1), (2, 2)] {
-            let (params, losses) = run_scheduled(precision, depth, ring_depth, &schedule);
+        let (serial_params, serial_losses) = run_scheduled(precision, 0, &schedule);
+        for depth in [1usize, 2, 3] {
+            let (params, losses) = run_scheduled(precision, depth, &schedule);
             assert_eq!(
                 serial_params, params,
-                "starvation script: {precision:?} depth {depth} ring {ring_depth} \
-                 diverged from serial"
+                "starvation script: {precision:?} depth {depth} diverged from serial"
             );
             assert_eq!(
                 serial_losses, losses,
-                "starvation script: {precision:?} depth {depth} ring {ring_depth} \
-                 changed the loss trajectory"
+                "starvation script: {precision:?} depth {depth} changed the loss trajectory"
             );
         }
     }
