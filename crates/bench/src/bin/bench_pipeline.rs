@@ -31,16 +31,12 @@ use hyscale_core::config::AcceleratorKind;
 use hyscale_core::drm::{DrmEngine, WorkloadSplit};
 use hyscale_core::pipeline::{simulate_pipeline, PipelineStageCosts};
 use hyscale_core::{
-    EpochReport, HybridTrainer, IterationFeed, MatrixPool, OptFlags, PrepareCtx, SystemConfig,
-    ThreadAlloc, WallStageTimes,
+    EpochReport, HybridTrainer, OptFlags, SystemConfig, ThreadAlloc, WallStageTimes,
 };
 use hyscale_gnn::GnnKind;
 use hyscale_graph::dataset::OGBN_PRODUCTS;
 use hyscale_graph::features::Splits;
 use hyscale_graph::Dataset;
-use hyscale_sampler::{EpochBatcher, NeighborSampler};
-use hyscale_tensor::quant::WireFeatures;
-use std::sync::Arc;
 
 const DEPTH: usize = 2;
 
@@ -76,9 +72,8 @@ fn dataset() -> Dataset {
 fn config(prefetch_depth: usize) -> SystemConfig {
     let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::GraphSage);
     // Static mapping: the tracked number is the settled steady state of
-    // paper Eq. 6. DRM's balance_work moves invalidate the speculative
-    // queue (that path is exercised by tests/equivalence.rs); with DRM
-    // live the bench would mostly measure re-mapping churn.
+    // paper Eq. 6, not the DRM's settling from the design-time mapping
+    // (live DRM under prefetching is exercised by tests/equivalence.rs).
     cfg.opt = OptFlags {
         hybrid: true,
         drm: false,
@@ -107,87 +102,6 @@ fn run(prefetch_depth: usize, dataset: &Dataset) -> Vec<EpochReport> {
 
 fn functional_wall(reports: &[EpochReport]) -> f64 {
     reports.iter().map(|r| r.wall_s).sum()
-}
-
-/// Mid-epoch single-lane rebalance scenario (runs in smoke mode too):
-/// a hybrid feed with three accelerator lanes takes a *burst*
-/// of two `balance_work` moves — both shifting seeds from lane 0 to
-/// the CPU trainer, while lanes 1 and 2 keep their slices. The feed
-/// must coalesce the burst into one re-slice against the final quotas,
-/// salvage the untouched trainers' queued batches, and re-slice only
-/// the two trainers whose slices moved; the returned tuple is
-/// `(batches_salvaged, batches_flushed, invalidation_cost_s,
-/// remaps_coalesced)` for the bench JSON.
-fn invalidation_scenario(dataset: &Dataset) -> (usize, usize, f64, usize) {
-    let dataset = Arc::new(dataset.clone());
-    let batcher = EpochBatcher::new(dataset.splits.train.clone(), 7);
-    let order = Arc::new(batcher.epoch_order(0));
-    let alloc = ThreadAlloc::default_for(8);
-    let ctx = Arc::new(PrepareCtx {
-        accel_features: Arc::new(WireFeatures::build(
-            hyscale_tensor::Precision::Int8,
-            &dataset.data.features,
-        )),
-        dataset,
-        batcher,
-        sampler: NeighborSampler::new(vec![5, 3], 11),
-        hybrid: true,
-        workers: Arc::new(hyscale_core::StageWorkers::from_alloc(&alloc)),
-        numa_domains: 2,
-    });
-    let pool = Arc::new(MatrixPool::new());
-    let old_quotas = vec![12usize, 8, 8, 8];
-    let mut feed = IterationFeed::new(
-        Arc::clone(&ctx),
-        order,
-        0,
-        usize::MAX,
-        DEPTH,
-        Arc::clone(&pool),
-        old_quotas.clone(),
-    );
-    let first = feed.obtain(0, &old_quotas).expect("iteration 0");
-    first.recycle(&pool);
-    // Wait for the producer's steady fill (bounded: ~10 s): at depth 2
-    // exactly two iterations can be fully prepared — each holds one
-    // prefetch credit, the third parks on the gate — so the salvage
-    // accounting is deterministic: 2 settled trainers × 2 queued
-    // iterations salvaged, 2 moved trainers × 2 re-sliced. Fail
-    // loudly on timeout: salvaging 0 batches here would otherwise only
-    // surface as an opaque assert in the CI JSON check.
-    let fill_deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while feed.buffered() < 2 {
-        assert!(
-            std::time::Instant::now() < fill_deadline,
-            "producer never buffered 2 iterations (got {}) — bench raced its own producer",
-            feed.buffered()
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    // burst of single-lane moves: [12, 8, 8, 8] -> [14, 6, 8, 8] ->
-    // [16, 4, 8, 8]; the feed coalesces them into ONE re-slice against
-    // the final quotas (diff oldest-kept vs newest), applied at the
-    // next obtain
-    feed.invalidate(1, vec![14usize, 6, 8, 8]);
-    let new_quotas = vec![16usize, 4, 8, 8];
-    feed.invalidate(1, new_quotas.clone());
-    let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
-    second.recycle(&pool);
-    let (salvaged, flushed) = feed.salvage_stats();
-    let cost = feed.invalidation_wall_s();
-    let coalesced = feed.remaps_coalesced();
-    assert_eq!(
-        (salvaged, flushed),
-        (4, 4),
-        "the burst must re-slice each queued iteration's two moved trainers once"
-    );
-    assert_eq!(
-        feed.restarts(),
-        1,
-        "the burst must restart the producer once"
-    );
-    feed.finish();
-    (salvaged, flushed, cost, coalesced)
 }
 
 /// Overlap-aware DRM scenario: replay one Algorithm 1 decision on the
@@ -286,15 +200,9 @@ fn main() {
 
     let prefetch_means = WallStageTimes::mean_of(prefetched.iter().map(|r| &r.wall_stages));
     let overlap = prefetch_means.overlap_factor();
-    let restarts: usize = prefetched.iter().map(|r| r.prefetch_restarts).sum();
     // Settled worker-pool widths the producer dispatched on (the logical
     // ThreadAlloc; effective threads are capped by `cpus`).
     let alloc = prefetch_means.threads;
-
-    // Surgical-invalidation scenario: mid-epoch single-lane rebalance
-    // burst, coalesced into one re-slice.
-    let (batches_salvaged, batches_flushed, invalidation_cost_s, remaps_coalesced) =
-        invalidation_scenario(&dataset);
 
     // Overlap-aware DRM scenario: one Algorithm 1 decision with the
     // visible-transfer share vs. the bundled assumption.
@@ -312,9 +220,6 @@ fn main() {
          \"speedup_vs_serial\": {:.4},\n  \"predicted_speedup\": {:.4},\n  \
          \"predicted_wall_ring1_s\": {:.6},\n  \"predicted_wall_ring2_s\": {:.6},\n  \
          \"overlap_factor\": {:.4},\n  \
-         \"drm_queue_restarts\": {},\n  \
-         \"batches_salvaged\": {},\n  \"batches_flushed\": {},\n  \
-         \"invalidation_cost_s\": {:.6},\n  \"drm_remaps_coalesced\": {},\n  \
          \"drm_overlap_visible_ratio\": {:.4},\n  \"drm_overlap_quota_delta\": {},\n  \
          \"numa_domains\": {},\n  \"thread_alloc\": {{\"sampler\": {}, \"loader\": {}, \
          \"trainer\": {}}}\n}}\n",
@@ -338,11 +243,6 @@ fn main() {
         ring1_wall,
         ring2_wall,
         overlap,
-        restarts,
-        batches_salvaged,
-        batches_flushed,
-        invalidation_cost_s,
-        remaps_coalesced,
         drm_visible_ratio,
         drm_quota_delta,
         numa_domains,
@@ -355,11 +255,9 @@ fn main() {
     eprintln!(
         "measured {speedup:.2}x vs serial on {cpus} cpu(s); stage balance supports \
          {predicted:.2}x at depth {DEPTH}; ring 1 -> 2 epoch wall {:.1} -> {:.1} ms \
-         (predicted); burst rebalance salvaged {batches_salvaged} / flushed \
-         {batches_flushed} batches in {:.1} ms ({remaps_coalesced} re-map coalesced); \
-         overlap-aware DRM quota delta {drm_quota_delta}; wrote BENCH_pipeline.json",
+         (predicted); overlap-aware DRM quota delta {drm_quota_delta}; wrote \
+         BENCH_pipeline.json",
         ring1_wall * 1e3,
         ring2_wall * 1e3,
-        invalidation_cost_s * 1e3,
     );
 }

@@ -11,8 +11,16 @@
 //!   preserved.
 //! * **`balance_thread`** — move one CPU worker thread from the fastest
 //!   CPU-resident task to the bottleneck CPU task.
+//!
+//! [`IterationPlanner`] runs the timing layer and one decision per
+//! iteration. The prefetch producer calls it right after sampling, so
+//! it decides the next iteration's mapping before slicing it.
 
+use crate::config::{OptFlags, PlatformConfig, SystemConfig};
+use crate::perf_model::{compute_stage_times, StageInputs};
 use crate::stages::{Stage, StageTimes};
+use hyscale_sampler::{MiniBatch, WorkloadStats};
+use hyscale_tensor::Precision;
 
 /// Per-iteration seed quotas: one CPU trainer plus `num_accelerators`
 /// identical accelerator trainers. The invariant `cpu_quota +
@@ -200,12 +208,12 @@ pub enum DrmAction {
     None,
 }
 
-/// One scripted DRM move, applied by the executor after iteration
-/// `iter` of epoch `epoch` — the deterministic stand-in for an
+/// One scripted DRM move, applied by the [`IterationPlanner`] after
+/// iteration `iter` of epoch `epoch` — the deterministic stand-in for an
 /// Algorithm 1 decision, used by the randomized DRM-schedule
-/// equivalence harness (and benchmarks) to fire `balance_work` /
-/// `balance_thread` / no-op events at chosen points without depending
-/// on the engine's bottleneck heuristics.
+/// equivalence harness to fire `balance_work` / `balance_thread` events
+/// at chosen points without depending on the engine's bottleneck
+/// heuristics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScriptedDrmEvent {
     /// Epoch the event fires in.
@@ -216,16 +224,15 @@ pub struct ScriptedDrmEvent {
     pub action: ScriptedDrm,
 }
 
-/// The move kinds a [`ScriptedDrmEvent`] can apply. Each maps onto the
-/// same executor paths the live [`DrmEngine`] drives, so a scripted
-/// schedule exercises exactly the production invalidation machinery.
+/// The move kinds a [`ScriptedDrmEvent`] can apply. The planner applies
+/// them after the live [`DrmEngine`]'s decision for the same iteration,
+/// through the same [`WorkloadSplit`] and [`ThreadAlloc`] moves, so a
+/// scripted schedule steers the mapping exactly as engine decisions do.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScriptedDrm {
     /// `balance_work`: shift up to `to_cpu.unsigned_abs()` seeds toward
     /// the CPU trainer (positive) or the accelerator pool (negative).
-    /// The split clamps the move, so a scripted shift may land as a
-    /// *zero-diff* re-map — deliberately: that is the no-op
-    /// invalidation path under test.
+    /// The split clamps the move, so a scripted shift may move nothing.
     BalanceWork {
         /// Positive: seeds toward the CPU; negative: toward accelerators.
         to_cpu: isize,
@@ -238,9 +245,6 @@ pub enum ScriptedDrm {
         /// Recipient CPU task.
         to: Stage,
     },
-    /// Re-issue the current quotas unchanged — a pure zero-diff
-    /// `balance_work` that a surgical invalidator must treat as free.
-    Noop,
 }
 
 /// The bottleneck-guided optimizer of Algorithm 1.
@@ -289,8 +293,8 @@ impl DrmEngine {
     /// `threads` for the next iteration, and report the action taken.
     ///
     /// Uses the paper's bundled `T_Accel = max(T_Tran, T_TA)` — the
-    /// perfect-overlap assumption. When the pipeline *measures* (or
-    /// models) how much wire time the device staging actually hid, use
+    /// perfect-overlap assumption. To charge the accelerator task the
+    /// wire time the modeled device staging leaves visible, use
     /// [`adjust_with_visible`](Self::adjust_with_visible) instead.
     pub fn adjust(
         &self,
@@ -312,12 +316,11 @@ impl DrmEngine {
     /// instead of `max(T_Tran, T_TA)`. `visible_transfer` is the
     /// un-hidden share of the wire time — full `T_Tran` without TFP
     /// (nothing can hide), `(T_Tran - T_TA)⁺` under TFP's modeled
-    /// double-buffered staging (reproducing `adjust` exactly), or the
-    /// measured `transfer_s - transfer_hidden_s` from a live
-    /// [`WallStageTimes`](crate::report::WallStageTimes). A
-    /// bandwidth-bound lane (no TFP, fat batches) thus inflates
-    /// the accelerator task and biases `balance_work` toward moving
-    /// seeds off the starved links.
+    /// double-buffered staging (reproducing `adjust` exactly). The
+    /// [`IterationPlanner`] passes one of these two simulated shares,
+    /// never a measured wall. A bandwidth-bound lane (no TFP, fat
+    /// batches) thus inflates the accelerator task and biases
+    /// `balance_work` toward moving seeds off the starved links.
     pub fn adjust_with_visible(
         &self,
         times: &StageTimes,
@@ -466,6 +469,161 @@ impl DrmEngine {
                 DrmAction::BalanceThread { from, to }
             }
             None => DrmAction::None,
+        }
+    }
+}
+
+/// The simulated timing of one iteration and the mapping the DRM
+/// decided after it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IterationPlan {
+    /// Simulated stage times of the iteration's sampled batches.
+    pub times: StageTimes,
+    /// Simulated iteration latency (pipelined with TFP, serial without).
+    pub iter_time_s: f64,
+    /// Throughput in MTEPS (Eq. 5).
+    pub mteps: f64,
+    /// The engine's decision after the iteration.
+    pub drm_action: DrmAction,
+    /// The split the next iteration is sliced under: the engine's move
+    /// and the iteration's scripted moves applied.
+    pub split: WorkloadSplit,
+    /// The thread budget the next iteration is prepared under.
+    pub threads: ThreadAlloc,
+}
+
+/// The timing layer and Algorithm 1 step of one iteration.
+///
+/// A decision depends only on the mapping the iteration was prepared
+/// under, the workload of its sampled batches, the configuration and
+/// the scripted events — never on training results. So the producer
+/// plans the next iteration's mapping as soon as it has sampled one,
+/// and the serial path runs the same step inline: every prefetch depth
+/// follows the same mapping trajectory by construction.
+#[derive(Clone)]
+pub struct IterationPlanner {
+    platform: PlatformConfig,
+    opt: OptFlags,
+    dims: Vec<usize>,
+    width_factor: usize,
+    model_bytes: u64,
+    precision: Precision,
+    engine: DrmEngine,
+    schedule: Vec<ScriptedDrmEvent>,
+}
+
+impl IterationPlanner {
+    /// A planner for `cfg` training a model with layer widths `dims`
+    /// whose all-reduce payload is `model_bytes`, applying `schedule`'s
+    /// scripted moves after the engine's decision (when `cfg.opt.drm`).
+    pub fn new(
+        cfg: &SystemConfig,
+        dims: Vec<usize>,
+        model_bytes: u64,
+        schedule: Vec<ScriptedDrmEvent>,
+    ) -> Self {
+        Self {
+            platform: cfg.platform.clone(),
+            opt: cfg.opt,
+            dims,
+            width_factor: cfg.train.model.update_width_factor(),
+            model_bytes,
+            precision: cfg.train.transfer_precision,
+            engine: DrmEngine::new(cfg.opt.hybrid),
+            schedule,
+        }
+    }
+
+    /// Model iteration `iter` of `epoch` from its per-trainer `batches`
+    /// (`None` for an idle trainer), prepared under `split` and
+    /// `threads`, and decide the next iteration's mapping.
+    pub fn plan(
+        &self,
+        epoch: u64,
+        iter: usize,
+        batches: &[Option<MiniBatch>],
+        split: &WorkloadSplit,
+        threads: &ThreadAlloc,
+    ) -> IterationPlan {
+        let zero = WorkloadStats::zero(self.dims.len() - 1);
+        let stats_of = |slot: usize| {
+            batches
+                .get(slot)
+                .and_then(Option::as_ref)
+                .map_or_else(|| zero.clone(), MiniBatch::stats)
+        };
+        let cpu_stats = if self.opt.hybrid {
+            stats_of(0)
+        } else {
+            zero.clone()
+        };
+        let accel_offset = usize::from(self.opt.hybrid);
+        let accel_stats: Vec<WorkloadStats> = (0..self.platform.num_accelerators)
+            .map(|a| stats_of(accel_offset + a))
+            .collect();
+        let inputs = StageInputs {
+            cpu_stats: &cpu_stats,
+            accel_stats: &accel_stats,
+            dims: &self.dims,
+            width_factor: self.width_factor,
+            model_bytes: self.model_bytes,
+            sampling_on_accel: split.sampling_on_accel,
+            precision: self.precision,
+        };
+        let times = compute_stage_times(&self.platform, threads, &inputs, true);
+        let iter_time_s = if self.opt.tfp {
+            times.pipelined_iteration()
+        } else {
+            times.serial_iteration()
+        };
+        let edges: u64 = cpu_stats.total_edges()
+            + accel_stats
+                .iter()
+                .map(WorkloadStats::total_edges)
+                .sum::<u64>();
+
+        // Overlap-aware accelerator estimate: the wire time left visible
+        // on the accelerator's critical path, derived from the simulated
+        // times and the configured overlap alone. Without TFP nothing is
+        // hidden; with TFP the modeled double-buffered staging hides the
+        // wire behind accelerator compute, leaving only the excess —
+        // Algorithm 1's max(T_Tran, T_TA) bundle.
+        let visible_transfer = if self.opt.tfp {
+            (times.transfer - times.train_accel).max(0.0)
+        } else {
+            times.transfer
+        };
+        let mut split = split.clone();
+        let mut threads = *threads;
+        let drm_action = if self.opt.drm {
+            self.engine
+                .adjust_with_visible(&times, visible_transfer, &mut split, &mut threads)
+        } else {
+            DrmAction::None
+        };
+        for ev in &self.schedule {
+            if ev.epoch != epoch || ev.iter != iter {
+                continue;
+            }
+            match ev.action {
+                ScriptedDrm::BalanceWork { to_cpu } if to_cpu >= 0 => {
+                    split.shift_to_cpu(to_cpu as usize);
+                }
+                ScriptedDrm::BalanceWork { to_cpu } => {
+                    split.shift_to_accel(to_cpu.unsigned_abs());
+                }
+                ScriptedDrm::BalanceThread { from, to } => {
+                    threads.shift(from, to);
+                }
+            }
+        }
+        IterationPlan {
+            times,
+            iter_time_s,
+            mteps: edges as f64 / iter_time_s / 1e6,
+            drm_action,
+            split,
+            threads,
         }
     }
 }

@@ -17,7 +17,9 @@
 //!
 //! * **Simulated** ([`crate::perf_model`], `IterationReport::times`) —
 //!   each stage's latency on the *modeled* hardware (EPYC + U250/A5000
-//!   node), driven by the measured workload of that iteration's batches.
+//!   node), driven by the measured workload of that iteration's batches
+//!   and computed by the producer's planning step
+//!   ([`crate::drm::IterationPlanner`]) together with the DRM decision.
 //!   With the TFP flag the steady-state iteration latency is the slowest
 //!   stage (Eq. 6), without it the communication stages serialize. This
 //!   is what the paper-reproduction figures use.
@@ -31,8 +33,8 @@
 //!   the slowest-stage bound.
 
 use crate::config::SystemConfig;
-use crate::drm::{DrmAction, DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
-use crate::perf_model::{compute_stage_times, PerfModel, StageInputs};
+use crate::drm::{IterationPlanner, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
+use crate::perf_model::PerfModel;
 use crate::prefetch::{IterationFeed, MatrixPool, PrepareCtx};
 use crate::protocol::{join_trainers, TrainingRound};
 use crate::report::{EpochReport, IterationReport, WallStageTimes};
@@ -42,7 +44,7 @@ use hyscale_device::calib;
 use hyscale_gnn::{GnnModel, Gradients};
 use hyscale_graph::features::gather_features;
 use hyscale_graph::Dataset;
-use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler, WorkloadStats};
+use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler};
 use hyscale_tensor::quant::WireFeatures;
 use hyscale_tensor::{Matrix, Optimizer};
 use std::sync::Arc;
@@ -60,7 +62,6 @@ pub struct HybridTrainer {
     split: WorkloadSplit,
     threads: ThreadAlloc,
     workers: Arc<StageWorkers>,
-    drm: DrmEngine,
     sync: Synchronizer,
     pool: Arc<MatrixPool>,
     /// The accelerator-side feature view: the feature matrix at the
@@ -90,7 +91,6 @@ impl HybridTrainer {
         let pm = PerfModel::new(&cfg);
         let (split, threads) = pm.initial_mapping(&dataset.spec);
         let workers = Arc::new(StageWorkers::from_alloc(&threads));
-        let drm = DrmEngine::new(cfg.opt.hybrid);
         let accel_features = Arc::new(WireFeatures::build(
             cfg.train.transfer_precision,
             &dataset.data.features,
@@ -106,7 +106,6 @@ impl HybridTrainer {
             split,
             threads,
             workers,
-            drm,
             sync: Synchronizer::new(),
             pool: Arc::new(MatrixPool::new()),
             accel_features,
@@ -115,13 +114,12 @@ impl HybridTrainer {
         }
     }
 
-    /// Install a scripted DRM schedule: each event fires after its
-    /// `(epoch, iter)` iteration completes, *in addition to* whatever
+    /// Install a scripted DRM schedule: each event is applied by the
+    /// planning step of its `(epoch, iter)` iteration, after whatever
     /// the live engine decides (tests usually run with `opt.drm` off so
-    /// the script is the only source of re-mapping). Scripted
-    /// `balance_work` moves are clamped by the split exactly like
-    /// engine moves, so a scripted shift can legitimately land as a
-    /// zero-diff re-map — the no-op invalidation path.
+    /// the script is the only source of re-mapping), and so shapes the
+    /// next iteration's mapping. Scripted `balance_work` moves are
+    /// clamped by the split exactly like engine moves.
     pub fn set_drm_schedule(&mut self, schedule: Vec<ScriptedDrmEvent>) {
         self.drm_schedule = schedule;
     }
@@ -245,11 +243,13 @@ impl HybridTrainer {
 
     /// Train one epoch.
     ///
-    /// With `prefetch_depth > 0` the producer stages (sampling, feature
-    /// loading) run on a background thread feeding a bounded queue,
-    /// overlapped with GNN propagation here; DRM
-    /// re-mapping events invalidate the queue before a split change
-    /// takes effect, so training is bitwise-identical to `depth = 0`.
+    /// With `prefetch_depth > 0` the producer stages (sampling, the DRM
+    /// plan, feature loading) run on a background thread feeding a
+    /// credit-bounded queue, overlapped with GNN propagation here. The
+    /// producer plans each next mapping itself and the consumer adopts
+    /// the plan of every iteration it trains, so training is
+    /// bitwise-identical to `depth = 0` and nothing prepared is
+    /// discarded.
     pub fn train_epoch(&mut self) -> EpochReport {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
@@ -274,15 +274,22 @@ impl HybridTrainer {
             hybrid: self.cfg.opt.hybrid,
             workers: Arc::clone(&self.workers),
             numa_domains: self.cfg.platform.numa_domains(),
+            planner: IterationPlanner::new(
+                &self.cfg,
+                self.dims.clone(),
+                self.model.nbytes() as u64,
+                self.drm_schedule.clone(),
+            ),
         };
         let mut feed = IterationFeed::new(
             Arc::new(ctx),
-            Arc::clone(&order),
+            order,
             epoch,
             functional_iters,
             prefetch_depth,
             Arc::clone(&self.pool),
-            self.split.quotas(),
+            self.split.clone(),
+            self.threads,
         );
 
         let mut trace = Vec::with_capacity(functional_iters);
@@ -296,39 +303,15 @@ impl HybridTrainer {
         // the DRM's trainer pool.
         let device = rayon::WorkerGroup::new("accelerator", 1);
 
-        for iter in 0..functional_iters {
+        loop {
             let iter_wall = Instant::now();
-            // Salvage accounting snapshot: everything the feed salvages
-            // or flushes during this iteration (stale-recovery inside
-            // `obtain`, DRM/scripted invalidations below) lands in this
-            // iteration's measured walls.
-            let (salvaged0, flushed0) = feed.salvage_stats();
-            let invalidation0 = feed.invalidation_wall_s();
-            let quotas = self.split.quotas();
-            // Sampling + Feature Loading (accelerator batches at wire
-            // precision): prepared inline at depth 0, received from the
-            // producer otherwise.
-            let Some(prepared) = feed.obtain(iter, &quotas) else {
+            // Sampling, the DRM plan for the next iteration, and Feature
+            // Loading (accelerator batches at wire precision): prepared
+            // inline at depth 0, received from the producer otherwise.
+            let Some(prepared) = feed.obtain() else {
                 break; // epoch seeds exhausted
             };
             let batches = &prepared.batches;
-
-            // --- Workload accounting for the timing layer ---
-            let zero = WorkloadStats::zero(self.dims.len() - 1);
-            let cpu_stats = if self.cfg.opt.hybrid {
-                batches[0].as_ref().map_or(zero.clone(), |b| b.stats())
-            } else {
-                zero.clone()
-            };
-            let accel_offset = usize::from(self.cfg.opt.hybrid);
-            let accel_stats: Vec<WorkloadStats> = (0..self.cfg.platform.num_accelerators)
-                .map(|a| {
-                    batches
-                        .get(accel_offset + a)
-                        .and_then(|b| b.as_ref())
-                        .map_or(zero.clone(), |b| b.stats())
-                })
-                .collect();
 
             // --- GNN Propagation under the training protocol ---
             let train_wall = Instant::now();
@@ -407,130 +390,43 @@ impl HybridTrainer {
             // back to their trainer's role (steady-state iterations
             // allocate no fresh ones), and the prefetch credit is
             // released so the producer can gather the next iteration.
-            let (sample_wall_s, load_wall_s) = (prepared.sample_wall_s, prepared.load_wall_s);
-            let observed_threads = prepared.threads;
+            let (iter, sample_wall_s, load_wall_s) =
+                (prepared.iter, prepared.sample_wall_s, prepared.load_wall_s);
+            let (plan, threads) = (prepared.plan.clone(), prepared.threads);
             prepared.recycle(&self.pool);
 
             let total_seeds: usize = results.iter().map(|r| r.3).sum();
             last_loss = results.iter().map(|r| r.1 * r.3 as f32).sum::<f32>() / total_seeds as f32;
             last_acc = results.iter().map(|r| r.2 * r.3 as f32).sum::<f32>() / total_seeds as f32;
 
-            // --- Timing layer ---
-            let inputs = StageInputs {
-                cpu_stats: &cpu_stats,
-                accel_stats: &accel_stats,
-                dims: &self.dims,
-                width_factor: self.cfg.train.model.update_width_factor(),
-                model_bytes: self.model.nbytes() as u64,
-                sampling_on_accel: self.split.sampling_on_accel,
-                precision: self.cfg.train.transfer_precision,
-            };
-            let times = compute_stage_times(&self.cfg.platform, &self.threads, &inputs, true);
-            let iter_time = if self.cfg.opt.tfp {
-                times.pipelined_iteration()
-            } else {
-                times.serial_iteration()
-            };
-            let edges: u64 = cpu_stats.total_edges()
-                + accel_stats
-                    .iter()
-                    .map(WorkloadStats::total_edges)
-                    .sum::<u64>();
-            let mteps = edges as f64 / iter_time / 1e6;
-
-            // --- DRM fine-tuning for the next iteration ---
-            // Overlap-aware accelerator estimate: how much wire time is
-            // *visible* on the accelerator's critical path. Derived from
-            // the pipeline configuration, not from measured walls — DRM
-            // decisions must stay bitwise-identical across prefetch
-            // depths and host core counts (the equivalence harness
-            // compares trajectories), so the estimate may depend only on
-            // the simulated times and the configured overlap machinery:
-            // without TFP nothing is hidden (the whole transfer rides
-            // the critical path, biasing balance_work away from
-            // bandwidth-bound lanes); with TFP the modeled double-buffered
-            // staging hides the wire behind accelerator compute, leaving
-            // only the excess — Algorithm 1's max(T_Tran, T_TA) bundle.
-            let visible_transfer = if self.cfg.opt.tfp {
-                (times.transfer - times.train_accel).max(0.0)
-            } else {
-                times.transfer
-            };
-            let action = if self.cfg.opt.drm {
-                self.drm.adjust_with_visible(
-                    &times,
-                    visible_transfer,
-                    &mut self.split,
-                    &mut self.threads,
-                )
-            } else {
-                DrmAction::None
-            };
-            // A balance_work move changed the per-trainer quotas: drain
-            // the prefetch queue and restart the producer under the new
-            // split before it takes effect (the determinism contract).
-            // A balance_thread move only shifts the thread budget, so it
-            // re-sizes the shared worker pools in place — the producer
-            // picks the new widths up on its next dispatch and measured
-            // stage walls shift without losing prepared iterations.
-            match action {
-                DrmAction::BalanceWork { .. } => feed.invalidate(iter + 1, self.split.quotas()),
-                DrmAction::BalanceThread { .. } => feed.rebalance_threads(&self.threads),
-                _ => {}
-            }
-
-            // Scripted DRM moves (test/bench injection) ride the exact
-            // same invalidation paths as live engine decisions.
-            for k in 0..self.drm_schedule.len() {
-                let ev = self.drm_schedule[k];
-                if ev.epoch != epoch || ev.iter != iter {
-                    continue;
-                }
-                match ev.action {
-                    ScriptedDrm::BalanceWork { to_cpu } => {
-                        if to_cpu >= 0 {
-                            self.split.shift_to_cpu(to_cpu as usize);
-                        } else {
-                            self.split.shift_to_accel(to_cpu.unsigned_abs());
-                        }
-                        feed.invalidate(iter + 1, self.split.quotas());
-                    }
-                    ScriptedDrm::BalanceThread { from, to } => {
-                        if self.threads.shift(from, to) {
-                            feed.rebalance_threads(&self.threads);
-                        }
-                    }
-                    ScriptedDrm::Noop => feed.invalidate(iter + 1, self.split.quotas()),
-                }
-            }
-
-            let (salvaged, flushed) = feed.salvage_stats();
-            let invalidation_s = feed.invalidation_wall_s() - invalidation0;
+            // Adopt the mapping the producer planned after this
+            // iteration; the next one was prepared under it.
+            self.split = plan.split;
+            self.threads = plan.threads;
 
             trace.push(IterationReport {
                 iter,
-                times,
-                iter_time_s: iter_time,
+                times: plan.times,
+                iter_time_s: plan.iter_time_s,
                 loss: last_loss,
                 accuracy: last_acc,
                 cpu_quota: self.split.cpu_quota,
-                drm_action: action,
-                mteps,
+                drm_action: plan.drm_action,
+                mteps: plan.mteps,
                 wall: WallStageTimes {
                     sample_s: sample_wall_s,
                     load_s: load_wall_s,
                     train_s: train_wall_s,
                     iter_s: iter_wall.elapsed().as_secs_f64(),
-                    batches_salvaged: salvaged - salvaged0,
-                    batches_flushed: flushed - flushed0,
-                    invalidation_s,
-                    threads: observed_threads,
+                    threads,
                 },
             });
         }
 
-        let prefetch_restarts = feed.restarts();
         feed.finish();
+        // The producer may have sized the pools for an iteration past
+        // the last one trained; mirror the adopted allocation again.
+        self.workers.apply(&self.threads);
 
         // Steady-state iteration time: skip the first half of the trace
         // while the DRM is still settling from the coarse design-time
@@ -572,7 +468,7 @@ impl HybridTrainer {
             wall_s: wall_start.elapsed().as_secs_f64(),
             wall_stages,
             prefetch_depth,
-            prefetch_restarts,
+            prefetch_restarts: 0,
             trace,
         }
     }
@@ -582,7 +478,9 @@ impl HybridTrainer {
 mod tests {
     use super::*;
     use crate::config::{AcceleratorKind, OptFlags, PlatformConfig, SystemConfig, TrainConfig};
+    use crate::drm::DrmAction;
     use hyscale_gnn::GnnKind;
+    use hyscale_graph::CsrGraph;
 
     fn toy_config(opt: OptFlags) -> SystemConfig {
         SystemConfig {
@@ -770,6 +668,75 @@ mod tests {
             let message = outcome.expect_err("a bad label must fail the epoch");
             let expected = format!("label {classes} out of range for {classes} classes");
             assert_eq!(message, expected, "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn a_gather_failure_mid_epoch_fails_the_epoch_at_every_depth() {
+        // The graph's last vertex loses its edges, so it is never a
+        // neighbor and enters a batch only as a seed; the epoch order
+        // places it in iteration K; the feature matrix is one row short.
+        // Iterations before K train, and K's gather panics. At depths 1
+        // and 2 that panic ends the epoch's one producer after it served
+        // iterations: the epoch must still fail with the gather's own
+        // message within a bounded time.
+        const K: usize = 2;
+        for depth in [0usize, 1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut cfg = toy_config(OptFlags::full());
+                cfg.train.prefetch_depth = depth;
+                let mut ds = Dataset::toy(3);
+                let n = ds.graph.num_vertices();
+                let last = (n - 1) as u32;
+                let edges: Vec<_> = ds
+                    .graph
+                    .edges_by_source()
+                    .into_iter()
+                    .filter(|&(s, t)| s != last && t != last)
+                    .collect();
+                ds.graph = CsrGraph::from_edges(n, &edges).expect("edges within the graph");
+                if !ds.splits.train.contains(&last) {
+                    ds.splits.train[0] = last;
+                }
+                // The shuffle permutes positions whatever the ids, so
+                // swapping two train ids swaps their places in the order.
+                let probe = HybridTrainer::new(cfg.clone(), ds.clone());
+                let displaced = probe.batcher.epoch_order(0)[K * probe.split.total];
+                for id in ds.splits.train.iter_mut() {
+                    if *id == last {
+                        *id = displaced;
+                    } else if *id == displaced {
+                        *id = last;
+                    }
+                }
+                let cols = ds.data.features.cols();
+                let kept = ds.data.features.as_slice()[..(n - 1) * cols].to_vec();
+                ds.data.features = Matrix::from_vec(n - 1, cols, kept);
+                let gather =
+                    std::panic::catch_unwind(|| gather_features(&ds.data.features, &[last]));
+                let expected = crate::prefetch::panic_text(gather.expect_err("row is missing"));
+                let mut t = HybridTrainer::new(cfg, ds);
+                let initial = t.model().flatten_params();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    t.train_epoch().functional_iters
+                }));
+                let trained = t.model().flatten_params() != initial;
+                let _ = tx.send((
+                    expected,
+                    trained,
+                    outcome.map_err(crate::prefetch::panic_text),
+                ));
+            });
+            let (expected, trained, outcome) = rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("depth {depth}: the failing epoch never returned"));
+            let message = outcome.expect_err("a failed gather must fail the epoch");
+            assert_eq!(message, expected, "depth {depth}");
+            assert!(
+                trained,
+                "depth {depth}: the iterations before {K} never trained"
+            );
         }
     }
 

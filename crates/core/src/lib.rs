@@ -25,9 +25,11 @@
 //!   socket domains — accelerator batches straight from the
 //!   wire-precision feature view — into a queue overlapped with GNN
 //!   propagation. One prefetch credit per live iteration bounds the
-//!   producer; buffers are recycled per trainer role, and DRM re-maps
-//!   re-slice queued iterations surgically, bitwise-identical to serial
-//!   execution. Device-side staging stays a model in [`pipeline`].
+//!   producer; buffers are recycled per trainer role. The producer runs
+//!   the DRM step itself right after sampling, so it prepares every
+//!   iteration under the mapping the consumer will train it with,
+//!   bitwise-identical to serial execution. Device-side staging stays a
+//!   model in [`pipeline`].
 //! * [`executor`] — the hybrid trainer: 4-stage pipeline (Sampling →
 //!   Feature Loading → Data Transfer → GNN Propagation) with Two-stage
 //!   Feature Prefetching (paper §IV-B), functional training plus
@@ -35,7 +37,7 @@
 //!
 //! The [`executor::HybridTrainer`] is the public entry point; see the
 //! workspace `examples/` for end-to-end usage and the repository's
-//! `ARCHITECTURE.md` for the pipeline and DRM event-flow diagrams.
+//! `ARCHITECTURE.md` for the pipeline diagram and where the DRM plans.
 
 #![warn(missing_docs)]
 
@@ -53,7 +55,10 @@ pub mod stages;
 pub mod sync;
 
 pub use config::{AcceleratorKind, OptFlags, PlatformConfig, SystemConfig, TrainConfig};
-pub use drm::{DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
+pub use drm::{
+    DrmEngine, IterationPlan, IterationPlanner, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc,
+    WorkloadSplit,
+};
 pub use executor::HybridTrainer;
 pub use perf_model::PerfModel;
 pub use prefetch::{Credits, IterationFeed, MatrixPool, PrepareCtx, PreparedIteration};

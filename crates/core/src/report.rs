@@ -27,21 +27,6 @@ pub struct WallStageTimes {
     pub train_s: f64,
     /// End-to-end iteration wall-clock on the consumer thread.
     pub iter_s: f64,
-    /// Per-trainer batches that survived this iteration's DRM
-    /// re-mapping events untouched (their trainer's seed slice did not
-    /// move): queued batch and pooled matrix both kept.
-    /// Counters, not times — [`mean_of`](Self::mean_of) *sums* them, so
-    /// an epoch summary carries epoch totals.
-    pub batches_salvaged: usize,
-    /// Per-trainer batches discarded (and, for still-active trainers,
-    /// redone) by this iteration's re-mapping events. Summed like
-    /// [`batches_salvaged`](Self::batches_salvaged) in `mean_of`.
-    pub batches_flushed: usize,
-    /// Wall-clock seconds spent inside DRM invalidation (producer
-    /// shutdown + per-trainer re-slice + restart) this iteration.
-    /// Summed, not averaged, by `mean_of` — the epoch summary is the
-    /// total invalidation tax.
-    pub invalidation_s: f64,
     /// The worker-pool widths the producer prepared this iteration
     /// under — the [`ThreadAlloc`] actually observed by the dispatches
     /// behind `sample_s`/`load_s`. A DRM `balance_thread`
@@ -76,11 +61,6 @@ impl WallStageTimes {
             acc.load_s += t.load_s;
             acc.train_s += t.train_s;
             acc.iter_s += t.iter_s;
-            // salvage accounting accumulates: epoch summaries carry the
-            // totals, not per-iteration means
-            acc.batches_salvaged += t.batches_salvaged;
-            acc.batches_flushed += t.batches_flushed;
-            acc.invalidation_s += t.invalidation_s;
             // widths don't average meaningfully: keep the settled
             // (last-observed) allocation
             acc.threads = t.threads;
@@ -148,7 +128,9 @@ pub struct EpochReport {
     /// Task-level Feature Prefetching depth this epoch executed with
     /// (`0` = fully serial stages).
     pub prefetch_depth: usize,
-    /// Producer restarts forced by DRM re-mapping events this epoch.
+    /// Always 0: the producer plans each DRM decision itself, so no
+    /// prepared iteration is ever discarded and the producer never
+    /// restarts. Kept for readers of earlier reports.
     pub prefetch_restarts: usize,
     /// Per-iteration traces.
     pub trace: Vec<IterationReport>,
@@ -217,9 +199,6 @@ mod tests {
             load_s: 4.0,
             train_s: 6.0,
             iter_s: 6.0,
-            batches_salvaged: 3,
-            batches_flushed: 1,
-            invalidation_s: 0.25,
             threads: ThreadAlloc {
                 sampler: 2,
                 loader: 3,
@@ -230,10 +209,6 @@ mod tests {
         let m = WallStageTimes::mean_of([a, b].iter());
         assert_eq!(m.sample_s, 2.0);
         assert_eq!(m.train_s, 5.0);
-        // counters and invalidation tax are totals, not means
-        assert_eq!(m.batches_salvaged, 3);
-        assert_eq!(m.batches_flushed, 1);
-        assert_eq!(m.invalidation_s, 0.25);
         // widths keep the settled (last-observed) allocation
         assert_eq!(m.threads, b_threads);
         assert_eq!(m.iter_s, 5.0);

@@ -45,13 +45,12 @@ impl Stage {
 ///
 /// This is the execution-side twin of [`ThreadAlloc`]: the DRM engine
 /// mutates a `ThreadAlloc` (its model of the thread budget), and the
-/// executor [`apply`](Self::apply)s it here so the prefetch producer's
-/// dispatches — the per-trainer sampling dispatch, the socket-sharded
-/// feature gather — actually run at the budgeted widths.
-/// Widths are atomics inside each group, so a re-size made by the
-/// consumer thread is observed by the producer thread on its next
-/// dispatch without draining the prefetch queue (prepared iterations
-/// are bitwise-independent of widths).
+/// prefetch producer [`apply`](Self::apply)s each iteration's planned
+/// allocation here before sampling it, so its dispatches — the
+/// per-trainer sampling dispatch, the socket-sharded feature gather —
+/// actually run at the budgeted widths. Widths are atomics inside each
+/// group, so the CPU trainer on the consumer thread picks up a re-size
+/// at its next dispatch (results are bitwise-independent of widths).
 ///
 /// ```
 /// use hyscale_core::stages::{Stage, StageWorkers};

@@ -91,9 +91,9 @@ fn real_pipeline_demo() {
     let run = |depth: usize| {
         let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::GraphSage);
         // Static mapping: the paper's TFP analysis (Eq. 6) is about the
-        // settled steady state; with DRM live, every balance_work move
-        // would invalidate the speculative queue (correctness of that
-        // path is covered by tests/equivalence.rs).
+        // settled steady state, not the DRM's settling from the
+        // design-time mapping (live DRM under prefetching is covered by
+        // tests/equivalence.rs).
         cfg.opt = OptFlags {
             hybrid: true,
             drm: false,

@@ -1,15 +1,18 @@
 //! System-level DRM behaviour (paper §IV-A): starting from a bad task
 //! mapping, Algorithm 1 must converge to a faster one while preserving
-//! the per-iteration seed total and the CPU thread budget — and its two
-//! move kinds must have the right invalidation semantics on the
-//! producer's queue: `balance_work` re-slices *only the trainers whose
-//! share moved* (salvaging the untouched trainers' queued batches; a
-//! zero-diff move flushes nothing), `balance_thread` flushes none.
+//! the per-iteration seed total and the CPU thread budget — and a move
+//! decided after iteration `k` must land on exactly iteration `k+1` at
+//! every prefetch depth: the producer plans the move itself, slices the
+//! next iteration under the moved quotas and sets its pool widths.
 
-use hyscale::core::drm::{DrmEngine, ThreadAlloc, WorkloadSplit};
-use hyscale::core::{AcceleratorKind, PerfModel, SystemConfig};
+use hyscale::core::drm::{DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
+use hyscale::core::stages::Stage;
+use hyscale::core::{
+    AcceleratorKind, HybridTrainer, IterationReport, OptFlags, PerfModel, SystemConfig,
+};
 use hyscale::gnn::GnnKind;
 use hyscale::graph::dataset::{OGBN_PAPERS100M, OGBN_PRODUCTS};
+use hyscale::graph::Dataset;
 
 fn settle(
     cfg: &SystemConfig,
@@ -100,7 +103,7 @@ fn balance_thread_resizes_live_worker_pools() {
     // StageTimes. Drive the engine with a loader-bottlenecked profile
     // and mirror its ThreadAlloc into StageWorkers, as the executor does.
     use hyscale::core::drm::DrmAction;
-    use hyscale::core::stages::{Stage, StageTimes, StageWorkers};
+    use hyscale::core::stages::{StageTimes, StageWorkers};
 
     let engine = DrmEngine::new(true);
     let mut split = WorkloadSplit::new(1024, 5120, 4);
@@ -140,362 +143,132 @@ fn balance_thread_resizes_live_worker_pools() {
     );
 }
 
-/// Build an [`IterationFeed`] over a toy dataset with `num_accel`
-/// accelerator trainers and prefetch depth `depth`, plus the quotas it
-/// was spawned under.
-mod feed_fixture {
-    use hyscale::core::drm::ThreadAlloc;
-    use hyscale::core::stages::StageWorkers;
-    use hyscale::core::{IterationFeed, MatrixPool, PrepareCtx};
-    use hyscale::graph::Dataset;
-    use hyscale::sampler::{EpochBatcher, NeighborSampler};
-    use hyscale::tensor::quant::WireFeatures;
-    use hyscale::tensor::Precision;
-    use std::sync::Arc;
-
-    pub fn feed(num_accel: usize, depth: usize) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
-        feed_with_quotas(depth, vec![8usize; 1 + num_accel])
-    }
-
-    pub fn feed_with_quotas(
-        depth: usize,
-        quotas: Vec<usize>,
-    ) -> (IterationFeed, Arc<MatrixPool>, Vec<usize>) {
-        let dataset = Arc::new(Dataset::toy(5));
-        let batcher = EpochBatcher::new(dataset.splits.train.clone(), 99);
-        let order = Arc::new(batcher.epoch_order(0));
-        let ctx = Arc::new(PrepareCtx {
-            accel_features: Arc::new(WireFeatures::build(Precision::Int8, &dataset.data.features)),
-            dataset,
-            batcher,
-            sampler: NeighborSampler::new(vec![4, 3], 17),
+/// Train two epochs of a small hybrid configuration (a CPU trainer plus
+/// two accelerators, 96 seeds per iteration, DRM engine off) at prefetch
+/// `depth` under `schedule`. The run has its own thread and a 120 s
+/// watchdog, so a lost wake-up fails the test instead of hanging it.
+/// Returns the final weights and every iteration's report.
+fn scripted_run(depth: usize, schedule: &[ScriptedDrmEvent]) -> (Vec<f32>, Vec<IterationReport>) {
+    let schedule = schedule.to_vec();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::Gcn);
+        cfg.platform.num_accelerators = 2;
+        cfg.opt = OptFlags {
             hybrid: true,
-            workers: Arc::new(StageWorkers::from_alloc(&ThreadAlloc::default_for(8))),
-            numa_domains: 2,
-        });
-        let pool = Arc::new(MatrixPool::new());
-        let feed = IterationFeed::new(
-            ctx,
-            order,
-            0,
-            usize::MAX,
-            depth,
-            Arc::clone(&pool),
-            quotas.clone(),
-        );
-        (feed, pool, quotas)
-    }
-
-    /// Poll until the feed has at least `n` fully-prepared iterations
-    /// buffered (salvage tests need a known amount of queued work
-    /// before firing a re-map). Panics after ~5 s.
-    pub fn wait_buffered(feed: &IterationFeed, n: usize) {
-        for _ in 0..500 {
-            if feed.buffered() >= n {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        panic!(
-            "producer never buffered {n} iterations (got {})",
-            feed.buffered()
-        );
-    }
-
-    /// Tear the feed down and check that no prefetch credit outlives it.
-    pub fn finish(feed: IterationFeed) {
-        let credits = Arc::clone(feed.credits());
-        feed.finish();
-        assert_eq!(credits.held(), 0, "credit held after finish");
-    }
+            drm: false, // the script is the only source of moves
+            tfp: true,
+        };
+        cfg.train.batch_per_trainer = 32;
+        cfg.train.fanouts = vec![4, 3];
+        cfg.train.hidden_dim = 8;
+        cfg.train.max_functional_iters = Some(6);
+        cfg.train.prefetch_depth = depth;
+        let mut t = HybridTrainer::new(cfg, Dataset::toy(43));
+        t.set_mapping(WorkloadSplit::new(32, 96, 2), ThreadAlloc::default_for(16));
+        t.set_drm_schedule(schedule);
+        let trace: Vec<IterationReport> = t
+            .train_epochs(2)
+            .into_iter()
+            .flat_map(|r| r.trace)
+            .collect();
+        let _ = tx.send((t.model().flatten_params(), trace));
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(120))
+        .unwrap_or_else(|_| panic!("depth {depth}: the run failed or never returned"))
 }
 
-/// `balance_work` semantics are *surgical*: a quota change re-slices
-/// only the trainers whose seed slice moved. Untouched lanes keep their
-/// queued batches. (The re-slice itself is deferred to the next
-/// `obtain`, where bursts coalesce.)
-#[test]
-fn balance_work_drains_only_changed_lanes() {
-    let (mut feed, pool, quotas) = feed_fixture::feed(2, 2);
-    let first = feed.obtain(0, &quotas).expect("first iteration");
-    assert_eq!(
-        first.features.iter().flatten().count(),
-        3,
-        "one feature batch per trainer"
-    );
-    first.recycle(&pool);
-    feed_fixture::wait_buffered(&feed, 2);
-
-    // the DRM moves 4 seeds from accel trainer 1 (lane 0) to the CPU
-    // trainer; lane 1's slice (prefix 16, quota 8) is untouched
-    let new_quotas = vec![12usize, 4, 8];
-    feed.invalidate(1, new_quotas.clone());
-    let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
-    second.recycle(&pool);
-    assert_eq!(feed.restarts(), 1, "balance_work must restart the producer");
-    assert_eq!(
-        feed.salvage_stats(),
-        (2, 4),
-        "both queued iterations keep lane 1 and re-slice the CPU and lane 0"
-    );
-
-    // the reverse move changes lane 0 again, and again spares lane 1
-    feed_fixture::wait_buffered(&feed, 2);
-    let newer_quotas = vec![8usize, 8, 8];
-    feed.invalidate(2, newer_quotas.clone());
-    let third = feed.obtain(2, &newer_quotas).expect("post-remap iteration");
-    assert_eq!(third.quotas, newer_quotas);
-    assert_eq!(feed.salvage_stats(), (4, 8));
-    third.recycle(&pool);
-    feed_fixture::finish(feed);
-}
-
-/// The ROADMAP coalescing follow-up, pinned: two back-to-back
-/// `balance_work` moves of the *same* trainer (lane 0 donates seeds to
-/// the CPU twice before the consumer's next obtain) must fold into ONE
-/// re-slice against the final quotas — one producer restart, and the
-/// queued iterations re-sliced once, not twice.
-#[test]
-fn burst_of_same_trainer_moves_reslices_once() {
-    let old_quotas = vec![12usize, 8, 8, 8];
-    let (mut feed, pool, _) = feed_fixture::feed_with_quotas(2, old_quotas.clone());
-    let first = feed.obtain(0, &old_quotas).expect("first iteration");
-    first.recycle(&pool);
-    feed_fixture::wait_buffered(&feed, 2);
-    let queued = feed.buffered();
-    assert_eq!(
-        queued, 2,
-        "prefetch depth 2 caps the prepared look-ahead at 2"
-    );
-
-    // burst: [12,8,8,8] -> [14,6,8,8] -> [16,4,8,8], both moving seeds
-    // from lane 0 to the CPU, recorded back-to-back between obtains
-    feed.invalidate(1, vec![14usize, 6, 8, 8]);
-    feed.invalidate(1, vec![16usize, 4, 8, 8]);
-    assert_eq!(feed.remaps_coalesced(), 1, "second event must coalesce");
-
-    let final_quotas = vec![16usize, 4, 8, 8];
-    let second = feed.obtain(1, &final_quotas).expect("post-burst iteration");
-    assert_eq!(second.quotas, final_quotas);
-    assert_eq!(second.seed_sets[0].len(), 16);
-    assert_eq!(second.seed_sets[1].len(), 4);
-    second.recycle(&pool);
-
-    // ONE re-slice for the whole burst: producer restarted once, and
-    // each queued iteration's movers flushed exactly once
-    assert_eq!(feed.restarts(), 1, "burst must pay a single restart");
-    let (salvaged, flushed) = feed.salvage_stats();
-    assert_eq!(
-        salvaged,
-        2 * queued,
-        "lanes 1 and 2 of every queued iteration survive the burst"
-    );
-    assert_eq!(
-        flushed,
-        2 * queued,
-        "CPU + lane 0 of every queued iteration re-sliced exactly once"
-    );
-    feed_fixture::finish(feed);
-}
-
-/// The headline salvage pin: with 3 accelerator lanes, a quota diff
-/// touching the CPU trainer and lane 0 (prefixes and quotas of lanes 1
-/// and 2 unchanged) salvages the queued batches of the untouched
-/// trainers instead of flushing them.
-#[test]
-fn single_lane_quota_diff_salvages_untouched_trainers() {
-    let old_quotas = vec![12usize, 8, 8, 8];
-    let (mut feed, pool, _) = feed_fixture::feed_with_quotas(2, old_quotas.clone());
-    let first = feed.obtain(0, &old_quotas).expect("first iteration");
-    first.recycle(&pool);
-    // Wait for the producer's *steady* fill: at prefetch depth 2 exactly
-    // two iterations can be fully prepared (each holds a credit; the
-    // third parks on the gate before gathering), so the buffered count
-    // is stable at 2 and the salvage accounting below is deterministic.
-    feed_fixture::wait_buffered(&feed, 2);
-    let queued = feed.buffered();
-    assert_eq!(
-        queued, 2,
-        "prefetch depth 2 caps the prepared look-ahead at 2"
-    );
-
-    // 4 seeds move from lane 0 to the CPU: [12,8,8,8] -> [16,4,8,8].
-    // Lanes 1 and 2 keep both prefix (20, 28) and quota (8, 8).
-    let new_quotas = vec![16usize, 4, 8, 8];
-    feed.invalidate(1, new_quotas.clone());
-    // deferred: the re-slice runs at the next obtain
-    let second = feed.obtain(1, &new_quotas).expect("post-remap iteration");
-
-    let (salvaged, flushed) = feed.salvage_stats();
-    assert!(
-        salvaged >= 2,
-        "lanes 1 and 2 of every queued iteration must be salvaged (got {salvaged})"
-    );
-    assert_eq!(
-        salvaged,
-        2 * queued,
-        "exactly the two untouched trainers per queued iteration survive"
-    );
-    assert_eq!(
-        flushed,
-        2 * queued,
-        "exactly the CPU trainer and lane 0 per queued iteration are re-sliced"
-    );
-    assert!(
-        feed.invalidation_wall_s() > 0.0,
-        "re-mapping wall-clock must be accounted"
-    );
-
-    // the salvaged iterations are served under the new quotas
-    assert_eq!(second.quotas, new_quotas);
-    assert_eq!(second.seed_sets[0].len(), 16);
-    assert_eq!(second.seed_sets[1].len(), 4);
-    assert_eq!(second.seed_sets[2].len(), 8);
-    assert_eq!(second.seed_sets[3].len(), 8);
-    second.recycle(&pool);
-    feed_fixture::finish(feed);
-}
-
-/// Regression for the latent zero-diff bug: a `balance_work` whose new
-/// quotas equal the old used to pay a full drain + producer restart.
-/// It must now be a complete no-op — nothing flushed, no restart — and
-/// the feed keeps serving without a hiccup.
-#[test]
-fn zero_diff_balance_work_drains_nothing() {
-    let (mut feed, pool, quotas) = feed_fixture::feed(3, 2);
-    let first = feed.obtain(0, &quotas).expect("first iteration");
-    first.recycle(&pool);
-
-    feed.invalidate(1, quotas.clone());
-    for iter in 1..=2 {
-        let prep = feed.obtain(iter, &quotas).expect("iteration after no-op");
-        assert_eq!(prep.iter, iter);
-        prep.recycle(&pool);
-    }
-    assert_eq!(
-        feed.restarts(),
-        0,
-        "zero-diff re-map restarted the producer"
-    );
-    assert_eq!(
-        feed.salvage_stats(),
-        (0, 0),
-        "zero-diff re-map flushed work"
-    );
-    assert_eq!(
-        feed.invalidation_wall_s(),
-        0.0,
-        "a no-op re-map must not charge invalidation time"
-    );
-    feed_fixture::finish(feed);
-}
-
-/// `balance_thread` semantics: re-sizing the worker pools must leave
-/// the prepared iterations intact: no flush, no restart, queued batches
-/// stay valid (widths change wall-clock, never bytes).
+/// `balance_thread` semantics: the producer sets the worker pools to
+/// each iteration's planned widths before sampling it, so a scripted
+/// move after iteration `k` shows in the measured-wall widths of
+/// exactly iteration `k+1` at every depth, while the iterations it
+/// prepared ahead stay valid: nothing is discarded and the weights
+/// equal serial's.
 #[test]
 fn balance_thread_keeps_prepared_iterations() {
-    let (mut feed, pool, quotas) = feed_fixture::feed(2, 2);
-    let first = feed.obtain(0, &quotas).expect("first iteration");
-    first.recycle(&pool);
-
-    let moved = ThreadAlloc {
-        sampler: 2,
-        loader: 4,
-        trainer: 2,
+    const K: usize = 2;
+    let schedule = [ScriptedDrmEvent {
+        epoch: 0,
+        iter: K,
+        action: ScriptedDrm::BalanceThread {
+            from: Stage::TrainCpu,
+            to: Stage::Load,
+        },
+    }];
+    let before = ThreadAlloc::default_for(16);
+    let after = ThreadAlloc {
+        loader: before.loader + 1,
+        trainer: before.trainer - 1,
+        ..before
     };
-    feed.rebalance_threads(&moved);
-    assert_eq!(feed.workers().observed(), moved);
-    assert_eq!(feed.restarts(), 0, "balance_thread must not restart");
-
-    // prepared iterations keep flowing, including across a second width
-    // change mid-stream
-    for iter in 1..=3 {
-        if iter == 2 {
-            feed.rebalance_threads(&ThreadAlloc {
-                sampler: 2,
-                loader: 1,
-                trainer: 5,
-            });
-            assert_eq!(feed.workers().loader().width(), 1, "loader narrowed live");
+    let (serial, _) = scripted_run(0, &schedule);
+    for depth in 0..=3 {
+        let (params, trace) = scripted_run(depth, &schedule);
+        assert_eq!(trace.len(), 12, "depth {depth}: two epochs of 6 iterations");
+        for (n, it) in trace.iter().enumerate() {
+            let expected = if n <= K { before } else { after };
+            assert_eq!(
+                it.wall.threads, expected,
+                "depth {depth}: iteration {n} ran at the wrong widths"
+            );
         }
-        let prep = feed.obtain(iter, &quotas).expect("post-move iteration");
-        assert_eq!(prep.features.iter().flatten().count(), 3);
-        prep.recycle(&pool);
+        assert_eq!(serial, params, "depth {depth} diverged from serial");
     }
-    assert_eq!(feed.restarts(), 0);
-    assert_eq!(
-        feed.salvage_stats(),
-        (0, 0),
-        "balance_thread must not flush prepared iterations"
-    );
-    feed_fixture::finish(feed);
 }
 
-/// Credit starvation: the consumer holds the only prefetch credit, so
-/// the producer is parked on the gate with a sampled iteration in hand
-/// — a DRM re-map fired in that state must neither deadlock nor corrupt
-/// service.
+/// Credit starvation: at prefetch depth 1 the consumer holds the only
+/// credit while it trains, so the producer parks on the gate with the
+/// next iteration sampled and planned. A schedule that slams nearly the
+/// whole batch onto the CPU trainer (each accelerator keeps its 1-seed
+/// floor) and back must neither deadlock nor change a bit: the quota
+/// trajectory and the weights equal serial's.
 #[test]
 fn lane_starvation_survives_remap_without_deadlock() {
-    // prefetch depth 1 + a held iteration: after iteration 0 is obtained
-    // (and NOT recycled), its credit stays taken, so the producer samples
-    // iteration 1 and parks before gathering it.
-    let (mut feed, pool, quotas) = feed_fixture::feed(2, 1);
-    let held = feed.obtain(0, &quotas).expect("first iteration");
+    let slam = |epoch: u64, iter: usize, to_cpu: isize| ScriptedDrmEvent {
+        epoch,
+        iter,
+        action: ScriptedDrm::BalanceWork { to_cpu },
+    };
+    let schedule = [slam(0, 1, 96), slam(0, 3, -96), slam(1, 0, 96)];
+    let quotas =
+        |trace: &[IterationReport]| -> Vec<usize> { trace.iter().map(|it| it.cpu_quota).collect() };
+    let (serial, serial_trace) = scripted_run(0, &schedule);
     assert_eq!(
-        feed.credits().held(),
-        1,
-        "iteration 0 holds the only credit"
+        quotas(&serial_trace),
+        [32, 94, 94, 0, 0, 0, 94, 94, 94, 94, 94, 94],
+        "the script's moves, clamped by the split"
     );
-    // give the producer time to park on the gate
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    let (params, trace) = scripted_run(1, &schedule);
+    assert_eq!(quotas(&serial_trace), quotas(&trace));
     assert_eq!(
-        feed.buffered(),
-        0,
-        "nothing can be gathered while the credit is held"
+        serial, params,
+        "the starved depth-1 run diverged from serial"
     );
-
-    // re-map while the producer is starved: lane 0's slice moves,
-    // lane 1 settles
-    let new_quotas = vec![10usize, 6, 8];
-    feed.invalidate(1, new_quotas.clone());
-    // return the credit only now — the apply path must cope with a
-    // producer that was parked
-    held.recycle(&pool);
-    let next = feed
-        .obtain(1, &new_quotas)
-        .expect("post-starvation iteration");
-    assert_eq!(next.quotas, new_quotas);
-    assert_eq!(next.seed_sets[0].len(), 10);
-    assert_eq!(next.seed_sets[1].len(), 6);
-    assert_eq!(feed.restarts(), 1, "the re-map restarts the producer once");
-    next.recycle(&pool);
-    // the feed keeps serving normally afterwards
-    let after = feed.obtain(2, &new_quotas).expect("steady service resumes");
-    after.recycle(&pool);
-    feed_fixture::finish(feed);
 }
 
-/// A single-credit feed (prefetch depth 1) still serves correctly — the
-/// producer just waits for each iteration's recycle before gathering
-/// the next — and re-slices under a re-map.
+/// A single-credit pipeline (prefetch depth 1) serves every iteration —
+/// the producer waits for each iteration's recycle before gathering the
+/// next — and slices the iteration after a scripted `balance_work` under
+/// the moved quotas: every iteration's simulated stage times, which are
+/// modeled from its sampled batches, equal serial's.
 #[test]
 fn single_credit_feed_serves_and_reslices() {
-    let (mut feed, pool, quotas) = feed_fixture::feed(2, 1);
-    for iter in 0..3 {
-        let prep = feed.obtain(iter, &quotas).expect("iteration");
-        assert_eq!(prep.features.iter().flatten().count(), 3);
-        assert_eq!(feed.credits().held(), 1);
-        prep.recycle(&pool);
+    let schedule = [ScriptedDrmEvent {
+        epoch: 0,
+        iter: 2,
+        action: ScriptedDrm::BalanceWork { to_cpu: 16 },
+    }];
+    let (serial, serial_trace) = scripted_run(0, &schedule);
+    let (params, trace) = scripted_run(1, &schedule);
+    assert_eq!(trace.len(), serial_trace.len());
+    for (n, (a, b)) in serial_trace.iter().zip(&trace).enumerate() {
+        assert_eq!(a.times, b.times, "iteration {n}'s batches differ");
+        assert_eq!(a.cpu_quota, b.cpu_quota, "iteration {n}");
     }
-    let new_quotas = vec![10usize, 6, 8];
-    feed.invalidate(3, new_quotas.clone());
-    let next = feed.obtain(3, &new_quotas).expect("post-remap");
-    // only lane 0's slice moved ([8..16] -> [10..16])
-    assert_eq!(feed.restarts(), 1);
-    assert_eq!(next.seed_sets[1].len(), 6);
-    assert_eq!(next.seed_sets[2].len(), 8);
-    next.recycle(&pool);
-    feed_fixture::finish(feed);
+    assert_eq!(trace[2].cpu_quota, 48, "the move lands after iteration 2");
+    assert_ne!(
+        trace[3].times.train_cpu, trace[2].times.train_cpu,
+        "iteration 3 trains a larger CPU batch"
+    );
+    assert_eq!(serial, params, "depth 1 diverged from serial");
 }

@@ -183,11 +183,13 @@ fn prefetch_depths_are_bitwise_identical_to_serial() {
 }
 
 /// Same bitwise contract with the DRM engine *live*: its balance_work
-/// moves change per-trainer quotas mid-epoch, forcing the producer
-/// queue to drain and restart — and the weights must still match serial
-/// execution exactly, with the re-mapping events themselves identical.
+/// moves change per-trainer quotas mid-epoch, and the producer, which
+/// plans each move itself, slices the next iteration under them — the
+/// weights must still match serial execution exactly, with the
+/// re-mapping events themselves identical.
 #[test]
 fn prefetch_is_bitwise_identical_across_drm_remapping() {
+    use hyscale::core::drm::DrmAction;
     let run = |depth: usize| {
         let ds = Dataset::toy(31);
         let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::Gcn);
@@ -209,34 +211,41 @@ fn prefetch_is_bitwise_identical_across_drm_remapping() {
             .flat_map(|r| r.trace.iter())
             .map(|it| (it.iter, it.cpu_quota))
             .collect();
-        let restarts: usize = reports.iter().map(|r| r.prefetch_restarts).sum();
-        (t.model().flatten_params(), remap_events, restarts)
+        // balance_work moves the prefetched iteration after them sees
+        let mid_epoch_moves = reports
+            .iter()
+            .flat_map(|r| r.trace.iter().map(move |it| (it, r.functional_iters)))
+            .filter(|(it, iters)| {
+                it.iter + 1 < *iters && matches!(it.drm_action, DrmAction::BalanceWork { .. })
+            })
+            .count();
+        (t.model().flatten_params(), remap_events, mid_epoch_moves)
     };
-    let (serial_params, serial_events, _) = run(0);
+    let (serial_params, serial_events, serial_moves) = run(0);
     for depth in [1usize, 2, 4] {
-        let (params, events, restarts) = run(depth);
+        let (params, events, moves) = run(depth);
         assert_eq!(
             serial_events, events,
             "depth {depth} saw different DRM re-mapping trajectory"
         );
+        assert_eq!(serial_moves, moves);
         assert_eq!(
             serial_params, params,
             "prefetch depth {depth} diverged from serial across DRM re-mapping"
         );
-        assert!(
-            restarts > 0,
-            "depth {depth}: DRM never invalidated the producer queue — \
-             the re-mapping path went unexercised"
-        );
     }
+    assert!(
+        serial_moves > 0,
+        "DRM never moved work mid-epoch — the re-mapping path went unexercised"
+    );
 }
 
 /// Worker-pool widths are pure wall-clock: with the task mapping pinned,
 /// two deliberately different `ThreadAlloc` settings (sampler-heavy and
 /// loader-heavy) train bitwise-identical weights and losses to each
 /// other and to serial execution, at prefetch depths {1, 2}. This is
-/// what licenses the executor to apply `balance_thread` moves to the
-/// live pools without draining the prefetch queue.
+/// what licenses the producer to re-size the live pools, the CPU
+/// trainer's included, while earlier iterations are still in flight.
 #[test]
 fn thread_allocs_are_bitwise_identical_across_depths() {
     use hyscale::core::drm::{ThreadAlloc, WorkloadSplit};
@@ -291,13 +300,13 @@ fn thread_allocs_are_bitwise_identical_across_depths() {
 }
 
 /// Live DRM with both move kinds firing mid-epoch: `balance_work`
-/// re-maps quotas (re-slicing the queued iterations of the changed
-/// trainers) and `balance_thread` re-sizes the worker pools in place
-/// (discarding nothing) — weights, losses, and the DRM trajectory
-/// itself must stay bitwise-identical to serial at prefetch depths
-/// {1, 2, 3, 4}, and the measured-wall trace must show the thread shift
-/// landing. Prefetch depth never steers the trajectory: every depth
-/// reproduces the one serial trajectory bitwise.
+/// re-maps quotas and `balance_thread` re-sizes the worker pools, both
+/// planned by the producer for the iteration it prepares next —
+/// weights, losses, and the DRM trajectory itself must stay
+/// bitwise-identical to serial at prefetch depths {1, 2, 3, 4}, and the
+/// measured-wall trace must show the thread shift landing on the same
+/// iterations at every depth. Prefetch depth never steers the
+/// trajectory: every depth reproduces the one serial trajectory bitwise.
 #[test]
 fn thread_rebalance_mid_epoch_is_bitwise_identical() {
     use hyscale::core::drm::DrmAction;
@@ -350,7 +359,7 @@ fn thread_rebalance_mid_epoch_is_bitwise_identical() {
         serial_actions
             .iter()
             .any(|(_, a, _)| matches!(a, DrmAction::BalanceWork { .. })),
-        "config never triggered a balance_work move — the re-slice path went unexercised"
+        "config never triggered a balance_work move — the quota re-map went unexercised"
     );
     // The wall-clock trace shows the re-allocation land: the producer's
     // observed widths change across the epoch.
@@ -363,10 +372,14 @@ fn thread_rebalance_mid_epoch_is_bitwise_identical() {
         "balance_thread never shifted the widths the producer observed: {serial_allocs:?}"
     );
     for depth in [1usize, 2, 3, 4] {
-        let (params, losses, actions, moves, _) = run(depth);
+        let (params, losses, actions, moves, allocs) = run(depth);
         assert_eq!(
             serial_actions, actions,
             "depth {depth} saw a different DRM trajectory"
+        );
+        assert_eq!(
+            serial_allocs, allocs,
+            "depth {depth} prepared iterations at different widths"
         );
         assert_eq!(serial_moves, moves);
         assert_eq!(

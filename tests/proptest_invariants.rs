@@ -1,7 +1,8 @@
 //! Property-based tests over the core data structures and kernels,
 //! plus the randomized DRM-schedule equivalence harness: arbitrary
-//! interleavings of `balance_work` / `balance_thread` / no-op events
-//! must leave prefetched training bitwise-identical to serial.
+//! interleavings of `balance_work` / `balance_thread` events (zero
+//! moves included) must leave prefetched training bitwise-identical to
+//! serial.
 
 use hyscale::core::drm::{DrmEngine, ScriptedDrm, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
 use hyscale::core::stages::Stage;
@@ -313,13 +314,11 @@ proptest! {
 
     /// The randomized DRM-schedule equivalence harness: a random
     /// interleaving of `balance_work` (random deltas, including explicit
-    /// zero-diff moves), `balance_thread`, and no-op events at random
-    /// iterations must train bitwise-identical weights and losses to
-    /// serial execution for every wire precision {F32, Int8} × prefetch
-    /// depth {1, 2, 3, 4}. This is what licenses
-    /// the surgical invalidator to salvage queued batches instead of
-    /// flushing them, and the re-slice to re-gather movers from the
-    /// wire view.
+    /// zero moves) and `balance_thread` events at random iterations must
+    /// train bitwise-identical weights and losses to serial execution
+    /// for every wire precision {F32, Int8} × prefetch depth
+    /// {1, 2, 3, 4}. This is what licenses the producer to plan the
+    /// moves itself and prepare iterations ahead under them.
     #[test]
     fn random_drm_schedules_are_bitwise_equivalent(
         raw in prop::collection::vec(
@@ -336,10 +335,9 @@ proptest! {
                     // random-magnitude work shift in either direction
                     // (the split clamps it, so some land as zero-diff)
                     0 => ScriptedDrm::BalanceWork { to_cpu: delta as isize - 40 },
-                    // explicit zero-delta balance_work: must be a no-op
-                    1 => ScriptedDrm::BalanceWork { to_cpu: 0 },
-                    2 => ScriptedDrm::BalanceThread { from: STAGES[from as usize], to: STAGES[to as usize] },
-                    _ => ScriptedDrm::Noop,
+                    // explicit zero-delta balance_work: moves nothing
+                    1 | 3 => ScriptedDrm::BalanceWork { to_cpu: 0 },
+                    _ => ScriptedDrm::BalanceThread { from: STAGES[from as usize], to: STAGES[to as usize] },
                 };
                 ScriptedDrmEvent { epoch, iter, action }
             })
@@ -386,7 +384,7 @@ fn lane_starvation_script_is_bitwise_equivalent() {
             iter: 3,
             action: ScriptedDrm::BalanceWork { to_cpu: -96 },
         },
-        // second epoch: slam and a zero-diff echo (coalescing no-op)
+        // second epoch: slam and a zero move in the same slot
         ScriptedDrmEvent {
             epoch: 1,
             iter: 0,
