@@ -413,34 +413,16 @@ fn sample_stream(epoch: u64, iter: usize, rank: usize) -> u64 {
     base.wrapping_add(rank as u64 + 1)
 }
 
-/// Prepare iteration `iter` of `epoch` under `split` and `threads`:
-/// slice the seeds, sample one mini-batch per non-idle trainer, plan the
-/// next iteration's mapping, and gather features into pooled buffers,
-/// holding no credit. Returns `None` once the epoch's seeds are
-/// exhausted.
+/// The first half of the producer stages for iteration `iter` of
+/// `epoch`: set the pools to `threads`, slice the seeds under `split`,
+/// sample one mini-batch per non-idle trainer in one dispatch on the
+/// sampler pool, and plan the next iteration's mapping. No features are
+/// gathered yet. Returns `None` once the epoch's seeds are exhausted.
 ///
-/// This is the single implementation of the producer stages — the
-/// serial (`depth = 0`) path runs it inline and the pipelined producer
-/// thread runs its two halves with a credit taken in between, which is
-/// what makes them bitwise-identical by construction.
-pub fn prepare_iteration(
-    ctx: &PrepareCtx,
-    order: &[u32],
-    epoch: u64,
-    iter: usize,
-    split: &WorkloadSplit,
-    threads: &ThreadAlloc,
-    pool: &MatrixPool,
-) -> Option<PreparedIteration> {
-    let mut prep = sample_iteration(ctx, order, epoch, iter, split, threads, pool)?;
-    load_iteration(ctx, &mut prep, pool);
-    Some(prep)
-}
-
-/// The first half of [`prepare_iteration`]: set the pools to `threads`,
-/// slice the seeds under `split`, sample one mini-batch per non-idle
-/// trainer in one dispatch on the sampler pool, and plan. No features
-/// are gathered yet.
+/// The serial (`depth = 0`) feed runs this and [`load_iteration`] back
+/// to back and the producer thread runs them with a credit taken in
+/// between, which is what makes the two bitwise-identical by
+/// construction.
 fn sample_iteration(
     ctx: &PrepareCtx,
     order: &[u32],
@@ -483,7 +465,7 @@ fn sample_iteration(
     })
 }
 
-/// The second half of [`prepare_iteration`]: gather every sampled
+/// The second half of the producer stages: gather every sampled
 /// trainer's features into a pooled buffer, in one dispatch on the
 /// loader pool.
 fn load_iteration(ctx: &PrepareCtx, prep: &mut PreparedIteration, pool: &MatrixPool) {
@@ -873,6 +855,22 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         panic!("queue never reached {n} (at {})", feed.buffered());
+    }
+
+    /// Both halves of the producer stages back to back, holding no
+    /// credit: what the serial feed does for each iteration.
+    fn prepare_iteration(
+        ctx: &PrepareCtx,
+        order: &[u32],
+        epoch: u64,
+        iter: usize,
+        split: &WorkloadSplit,
+        threads: &ThreadAlloc,
+        pool: &MatrixPool,
+    ) -> Option<PreparedIteration> {
+        let mut prep = sample_iteration(ctx, order, epoch, iter, split, threads, pool)?;
+        load_iteration(ctx, &mut prep, pool);
+        Some(prep)
     }
 
     /// Run `body` on its own thread, failing if it does not return
