@@ -1,5 +1,5 @@
 //! End-to-end functional hybrid-training iteration (sampling → loading →
-//! protocol-coordinated propagation → weighted all-reduce → update), and
+//! one dispatch of trainer steps → weighted all-reduce → update), and
 //! the design-time mapping cost itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};

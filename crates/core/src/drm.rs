@@ -552,14 +552,11 @@ impl IterationPlanner {
                 .and_then(Option::as_ref)
                 .map_or_else(|| zero.clone(), MiniBatch::stats)
         };
-        let cpu_stats = if self.opt.hybrid {
-            stats_of(0)
-        } else {
-            zero.clone()
-        };
-        let accel_offset = usize::from(self.opt.hybrid);
+        // Trainer slots follow `WorkloadSplit::quotas()`: the CPU first
+        // (idle without a CPU trainer), then each accelerator.
+        let cpu_stats = stats_of(0);
         let accel_stats: Vec<WorkloadStats> = (0..self.platform.num_accelerators)
-            .map(|a| stats_of(accel_offset + a))
+            .map(|a| stats_of(1 + a))
             .collect();
         let inputs = StageInputs {
             cpu_stats: &cpu_stats,
@@ -839,6 +836,44 @@ mod tests {
         let t = times(0.1, 0.1, 0.2, 0.0, 0.5, 2.0);
         assert_eq!(engine.adjust(&t, &mut s, &mut th), DrmAction::None);
         assert_eq!(s.cpu_quota, 1024);
+    }
+
+    #[test]
+    fn a_plan_without_a_cpu_trainer_models_every_accelerators_batch() {
+        use crate::config::{AcceleratorKind, OptFlags, SystemConfig};
+        use hyscale_gnn::GnnKind;
+        use hyscale_graph::Dataset;
+        use hyscale_sampler::NeighborSampler;
+
+        // Without a CPU trainer slot 0 is idle, and accelerator `a`
+        // trains slot `1 + a`, as `WorkloadSplit::quotas()` orders them.
+        let mut cfg = SystemConfig::paper_default(AcceleratorKind::u250(), GnnKind::Gcn);
+        cfg.platform.num_accelerators = 2;
+        cfg.opt = OptFlags::baseline();
+        let ds = Dataset::toy(3);
+        let sampler = NeighborSampler::new(vec![5, 3], 11);
+        let seeds = &ds.splits.train;
+        let b1 = sampler.sample(&ds.graph, &seeds[..40], 1);
+        let b2 = sampler.sample(&ds.graph, &seeds[40..80], 2);
+        let edges = (b1.stats().total_edges() + b2.stats().total_edges()) as f64;
+        let dims = cfg.train.layer_dims(ds.spec.f0, ds.data.num_classes);
+        let planner = IterationPlanner::new(&cfg, dims, 4096, Vec::new());
+        let plan = planner.plan(
+            0,
+            0,
+            &[None, Some(b1), Some(b2)],
+            &WorkloadSplit::new(0, 80, 2),
+            &ThreadAlloc::default_for(64),
+        );
+        assert!(plan.times.train_accel > 0.0, "{:?}", plan.times);
+        assert!(plan.times.load > 0.0, "{:?}", plan.times);
+        assert_eq!(plan.times.train_cpu, 0.0);
+        assert!(plan.mteps.is_finite());
+        let modeled = plan.mteps * plan.iter_time_s * 1e6;
+        assert!(
+            (modeled - edges).abs() < 1e-9 * edges,
+            "the plan counted {modeled} edges, the two batches hold {edges}"
+        );
     }
 
     #[test]

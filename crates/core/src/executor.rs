@@ -6,10 +6,13 @@
 //! Loader gathers `X'` from CPU memory, accelerator batches are
 //! "transferred" over the PCIe model, and every trainer (one CPU trainer
 //! when hybrid, plus one per accelerator) runs forward/backward
-//! concurrently under the Processor–Accelerator Training Protocol. The
-//! Synchronizer averages gradients (size-weighted) and every replica
-//! applies the same update — so the functional math is *identical* to
-//! sequential large-batch SGD regardless of the DRM's re-balancing.
+//! concurrently. The Processor–Accelerator Training Protocol (paper
+//! §III-C, Listing 1) is one fork-join dispatch: each trainer's step is
+//! an item of a self-scheduled `collect` whose returned gradients are its
+//! DONE, the Synchronizer averages them (size-weighted) in trainer order
+//! after the join, which is the ACK, and the one shared model applies
+//! the update once — so the functional math is *identical* to sequential
+//! large-batch SGD regardless of the DRM's re-balancing.
 //!
 //! ## Real vs. simulated timing
 //!
@@ -36,17 +39,17 @@ use crate::config::SystemConfig;
 use crate::drm::{IterationPlanner, ScriptedDrmEvent, ThreadAlloc, WorkloadSplit};
 use crate::perf_model::PerfModel;
 use crate::prefetch::{IterationFeed, MatrixPool, PrepareCtx};
-use crate::protocol::{join_trainers, TrainingRound};
 use crate::report::{EpochReport, IterationReport, WallStageTimes};
 use crate::stages::StageWorkers;
 use crate::sync::Synchronizer;
 use hyscale_device::calib;
-use hyscale_gnn::{GnnModel, Gradients};
+use hyscale_gnn::{GnnModel, Gradients, StepOutput};
 use hyscale_graph::features::gather_features;
 use hyscale_graph::Dataset;
 use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler};
 use hyscale_tensor::quant::WireFeatures;
 use hyscale_tensor::{Matrix, Optimizer};
+use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -296,11 +299,11 @@ impl HybridTrainer {
         let mut last_loss = f32::NAN;
         let mut last_acc = 0.0f32;
         // Accelerator trainers' host numerics stand in for device
-        // compute: they run at width 1, so the accelerator trainer
-        // threads do not each spawn nested kernel threads (whose
-        // per-thread malloc arenas grow the heap epoch over epoch). The
-        // kernels give the same bits at any width; the CPU trainer keeps
-        // the DRM's trainer pool.
+        // compute: they run at width 1, so accelerator trainer items do
+        // not each spawn nested kernel threads (whose per-thread malloc
+        // arenas grow the heap epoch over epoch). The kernels give the
+        // same bits at any width; the CPU trainer keeps the DRM's
+        // trainer pool.
         let device = rayon::WorkerGroup::new("accelerator", 1);
 
         loop {
@@ -313,7 +316,7 @@ impl HybridTrainer {
             };
             let batches = &prepared.batches;
 
-            // --- GNN Propagation under the training protocol ---
+            // --- GNN Propagation ---
             let train_wall = Instant::now();
             let labels_of = |seeds: &[u32]| -> Vec<u32> {
                 seeds
@@ -332,56 +335,40 @@ impl HybridTrainer {
                 })
                 .collect();
 
-            let round = TrainingRound::new(work.len());
-            let model = &self.model;
-            let sync = &self.sync;
-            let workers = &self.workers;
-            let device = &device;
-            let hybrid = self.cfg.opt.hybrid;
-            let mut results: Vec<(usize, f32, f32, usize)> = Vec::with_capacity(work.len());
-            let mut averaged: Option<Arc<Gradients>> = None;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = work
+            // Listing 1 as one fork-join dispatch, one item per trainer:
+            // an item returning its gradients is the trainer's DONE, the
+            // all-reduce after the collect is the synchronizer, and the
+            // join is the ACK. A trainer's panic reaches the caller with
+            // its own payload through the dispatch's join; no trainer
+            // waits on a peer, so there is nothing to abort.
+            let outputs: Vec<StepOutput> = work
+                .par_iter()
+                .map(|(idx, mb, x, labels)| {
+                    // The CPU trainer's kernels run under the trainer
+                    // pool's width, accelerator trainers at width 1.
+                    let group = if self.cfg.opt.hybrid && *idx == 0 {
+                        self.workers.trainer()
+                    } else {
+                        &device
+                    };
+                    group.install(|| self.model.train_step(mb, x, labels))
+                })
+                .collect();
+            let total_seeds: usize = work.iter().map(|(.., labels)| labels.len()).sum();
+            let weighted = |metric: fn(&StepOutput) -> f32| {
+                outputs
                     .iter()
-                    .enumerate()
-                    .map(|(slot, (idx, mb, x, labels))| {
-                        let round = &round;
-                        scope.spawn(move || {
-                            // A panic below aborts the round instead of
-                            // leaving the runtime and peers waiting.
-                            let _abort = round.abort_on_panic();
-                            // The CPU trainer's kernels run under the
-                            // trainer pool's width, accelerator trainers
-                            // at width 1.
-                            let group = if hybrid && *idx == 0 {
-                                workers.trainer()
-                            } else {
-                                device
-                            };
-                            let out = group.install(|| model.train_step(mb, x, labels));
-                            let batch = labels.len();
-                            let loss = out.loss;
-                            let acc = out.accuracy;
-                            // DONE++, wait for broadcast (Listing 1); a
-                            // peer's failure ends this trainer quietly.
-                            round.trainer_done(slot, out.grads).ok()?;
-                            round.trainer_ack();
-                            Some((*idx, loss, acc, batch))
-                        })
-                    })
-                    .collect();
-                // Runtime thread: synchronize + wait for ACKs. If a
-                // trainer aborted the round, joining re-raises its panic.
-                if let Ok(avg) = round.synchronize(sync) {
-                    if round.runtime_wait_acks().is_ok() {
-                        averaged = Some(avg);
-                    }
-                }
-                results.extend(join_trainers(handles).into_iter().flatten());
-            });
-            let averaged = averaged.expect("no trainer failed, so the round completed");
-            // Identical update applied to the (conceptually replicated)
-            // model — replicas stay in lock-step.
+                    .zip(&work)
+                    .map(|(out, (.., labels))| metric(out) * labels.len() as f32)
+                    .sum::<f32>()
+                    / total_seeds as f32
+            };
+            last_loss = weighted(|out| out.loss);
+            last_acc = weighted(|out| out.accuracy);
+            let parts: Vec<Gradients> = outputs.into_iter().map(|out| out.grads).collect();
+            // One size-weighted average, applied once to the shared
+            // model: every trainer's replica takes the same update.
+            let averaged = self.sync.all_reduce(&parts);
             self.model
                 .apply_gradients(&averaged, self.optimizer.as_mut());
             let train_wall_s = train_wall.elapsed().as_secs_f64();
@@ -394,10 +381,6 @@ impl HybridTrainer {
                 (prepared.iter, prepared.sample_wall_s, prepared.load_wall_s);
             let (plan, threads) = (prepared.plan.clone(), prepared.threads);
             prepared.recycle(&self.pool);
-
-            let total_seeds: usize = results.iter().map(|r| r.3).sum();
-            last_loss = results.iter().map(|r| r.1 * r.3 as f32).sum::<f32>() / total_seeds as f32;
-            last_acc = results.iter().map(|r| r.2 * r.3 as f32).sum::<f32>() / total_seeds as f32;
 
             // Adopt the mapping the producer planned after this
             // iteration; the next one was prepared under it.
@@ -641,33 +624,46 @@ mod tests {
 
     #[test]
     fn a_label_outside_the_classes_fails_the_epoch_at_every_depth() {
-        // The first seed of epoch 0 (the CPU trainer's batch in iteration
-        // 0) gets a label equal to the class count, so the loss's bounds
-        // check panics inside a trainer thread. At depths 1 and 2 the
-        // producer is parked on the prefetch credit gate when the trainer
-        // dies: unwinding must release the credit, and the epoch must
-        // fail with the loss's message within a bounded time.
-        for depth in [0usize, 1, 2] {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let mut cfg = toy_config(OptFlags::full());
-                cfg.train.prefetch_depth = depth;
-                let mut t = HybridTrainer::new(cfg, Dataset::toy(3));
-                let v = t.batcher.epoch_order(0)[0] as usize;
-                let data = &mut Arc::get_mut(&mut t.dataset).expect("sole owner").data;
-                let classes = data.num_classes;
-                data.labels[v] = classes as u32;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    t.train_epoch().functional_iters
-                }));
-                let _ = tx.send((classes, outcome.map_err(crate::prefetch::panic_text)));
-            });
-            let (classes, outcome) = rx
-                .recv_timeout(std::time::Duration::from_secs(120))
-                .unwrap_or_else(|_| panic!("depth {depth}: the failing epoch never returned"));
-            let message = outcome.expect_err("a bad label must fail the epoch");
-            let expected = format!("label {classes} out of range for {classes} classes");
-            assert_eq!(message, expected, "depth {depth}");
+        // One seed of iteration 0 gets a label equal to the class count,
+        // so the loss's bounds check panics inside that trainer's item of
+        // the round's dispatch: first the epoch's first seed (the CPU
+        // trainer's batch), then the iteration's last seed (the last
+        // accelerator's batch), so the panic comes from a different item.
+        // At depths 1 and 2 the producer is parked on the prefetch credit
+        // gate when the trainer dies: unwinding must release the credit,
+        // and the epoch must fail with the loss's message within a
+        // bounded time.
+        for last_accelerator in [false, true] {
+            for depth in [0usize, 1, 2] {
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let mut cfg = toy_config(OptFlags::full());
+                    cfg.train.prefetch_depth = depth;
+                    let mut t = HybridTrainer::new(cfg, Dataset::toy(3));
+                    let quotas = t.split.quotas();
+                    assert!(quotas[0] > 0 && quotas[quotas.len() - 1] > 0, "{quotas:?}");
+                    let position = if last_accelerator {
+                        t.split.total - 1
+                    } else {
+                        0
+                    };
+                    let v = t.batcher.epoch_order(0)[position] as usize;
+                    let data = &mut Arc::get_mut(&mut t.dataset).expect("sole owner").data;
+                    let classes = data.num_classes;
+                    data.labels[v] = classes as u32;
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        t.train_epoch().functional_iters
+                    }));
+                    let _ = tx.send((classes, outcome.map_err(crate::prefetch::panic_text)));
+                });
+                let case = format!("last accelerator {last_accelerator}, depth {depth}");
+                let (classes, outcome) = rx
+                    .recv_timeout(std::time::Duration::from_secs(120))
+                    .unwrap_or_else(|_| panic!("{case}: the failing epoch never returned"));
+                let message = outcome.expect_err("a bad label must fail the epoch");
+                let expected = format!("label {classes} out of range for {classes} classes");
+                assert_eq!(message, expected, "{case}");
+            }
         }
     }
 

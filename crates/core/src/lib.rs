@@ -2,11 +2,6 @@
 //!
 //! The HyScale-GNN training system (the paper's primary contribution):
 //!
-//! * [`protocol`] — the Processor–Accelerator Training Protocol
-//!   (paper §III-C, Listing 1): DONE/ACK handshakes between trainer
-//!   threads, the synchronizer, and the runtime, built on
-//!   `parking_lot` mutex/condvar exactly like the paper's Pthreads
-//!   implementation.
 //! * [`sync`] — the Synchronizer: size-weighted gradient all-reduce
 //!   (gather → average → broadcast, paper §III-A).
 //! * [`drm`] — the Dynamic Resource Management engine (paper
@@ -33,7 +28,11 @@
 //! * [`executor`] — the hybrid trainer: 4-stage pipeline (Sampling →
 //!   Feature Loading → Data Transfer → GNN Propagation) with Two-stage
 //!   Feature Prefetching (paper §IV-B), functional training plus
-//!   simulated device timing and measured per-stage wall-clock.
+//!   simulated device timing and measured per-stage wall-clock. It runs
+//!   the Processor–Accelerator Training Protocol (paper §III-C,
+//!   Listing 1) as one fork-join dispatch per iteration: a trainer's
+//!   item returning its gradients is its DONE, the all-reduce after the
+//!   join is the synchronizer, and the join is the ACK.
 //!
 //! The [`executor::HybridTrainer`] is the public entry point; see the
 //! workspace `examples/` for end-to-end usage and the repository's
@@ -49,7 +48,6 @@ pub mod metrics;
 pub mod perf_model;
 pub mod pipeline;
 pub mod prefetch;
-pub mod protocol;
 pub mod report;
 pub mod stages;
 pub mod sync;

@@ -204,21 +204,7 @@ impl PerfModel {
         split: &WorkloadSplit,
         threads: &ThreadAlloc,
     ) -> StageTimes {
-        let cpu_stats = self.analytic_workload(dataset, split.cpu_quota);
-        let accel_stats: Vec<WorkloadStats> = (0..split.num_accelerators)
-            .map(|i| self.analytic_workload(dataset, split.accel_quota(i)))
-            .collect();
-        let dims = self.dims(dataset);
-        let inputs = StageInputs {
-            cpu_stats: &cpu_stats,
-            accel_stats: &accel_stats,
-            dims: &dims,
-            width_factor: self.train.model.update_width_factor(),
-            model_bytes: self.model_bytes(dataset),
-            sampling_on_accel: split.sampling_on_accel,
-            precision: self.train.transfer_precision,
-        };
-        compute_stage_times(&self.platform, threads, &inputs, false)
+        self.analytic_stage_times(dataset, split, threads, false)
     }
 
     /// Stage times *with* runtime overheads (kernel launch) — the
@@ -229,6 +215,17 @@ impl PerfModel {
         dataset: &DatasetSpec,
         split: &WorkloadSplit,
         threads: &ThreadAlloc,
+    ) -> StageTimes {
+        self.analytic_stage_times(dataset, split, threads, true)
+    }
+
+    /// [`compute_stage_times`] over the analytic workloads of `split`.
+    fn analytic_stage_times(
+        &self,
+        dataset: &DatasetSpec,
+        split: &WorkloadSplit,
+        threads: &ThreadAlloc,
+        include_overheads: bool,
     ) -> StageTimes {
         let cpu_stats = self.analytic_workload(dataset, split.cpu_quota);
         let accel_stats: Vec<WorkloadStats> = (0..split.num_accelerators)
@@ -244,7 +241,7 @@ impl PerfModel {
             sampling_on_accel: split.sampling_on_accel,
             precision: self.train.transfer_precision,
         };
-        compute_stage_times(&self.platform, threads, &inputs, true)
+        compute_stage_times(&self.platform, threads, &inputs, include_overheads)
     }
 
     /// Predicted iteration time (Eq. 6 when prefetching pipelines the
@@ -368,16 +365,6 @@ impl PerfModel {
         };
         let base = tput(1);
         counts.iter().map(|&n| (n, tput(n) / base)).collect()
-    }
-
-    /// Expected pipeline-flush + launch epoch overhead (the §VI-C error
-    /// sources) for error analysis.
-    pub fn unmodelled_epoch_overhead(&self, dataset: &DatasetSpec) -> f64 {
-        let (split, threads) = self.settled_mapping(dataset);
-        let iters = dataset.train_vertices.div_ceil(split.total as u64);
-        let launch = self.platform.accelerator.timing().launch_overhead();
-        let flush = calib::PIPELINE_FLUSH_ITERS * self.iteration_time(dataset, &split, &threads);
-        iters as f64 * launch + flush
     }
 }
 
@@ -537,19 +524,6 @@ mod tests {
         assert_eq!(
             gcn.model_bytes(&OGBN_PRODUCTS),
             ((100 * 256 + 256 + 256 * 47 + 47) * 4) as u64
-        );
-    }
-
-    #[test]
-    fn unmodelled_overhead_is_small_fraction_on_fpga() {
-        // Fig. 8: prediction error 5-14%; launch+flush alone must be well
-        // under the epoch time.
-        let pm = PerfModel::new(&fpga_cfg(GnnKind::Gcn));
-        let epoch = pm.predict_epoch_time(&MAG240M_HOMO);
-        let overhead = pm.unmodelled_epoch_overhead(&MAG240M_HOMO);
-        assert!(
-            overhead < epoch * 0.2,
-            "overhead {overhead} vs epoch {epoch}"
         );
     }
 }

@@ -144,19 +144,6 @@ pub struct StageTimes {
 }
 
 impl StageTimes {
-    /// All-zero times.
-    pub fn zero() -> Self {
-        Self {
-            sample_cpu: 0.0,
-            sample_accel: 0.0,
-            load: 0.0,
-            transfer: 0.0,
-            train_cpu: 0.0,
-            train_accel: 0.0,
-            sync: 0.0,
-        }
-    }
-
     /// Bundled accelerator time `T_Accel = max(T_Tran, T_TA)`
     /// (Algorithm 1 line 1: transfer and accelerator-training times are
     /// highly correlated). This is the paper's *perfect-overlap*
@@ -218,18 +205,6 @@ impl StageTimes {
             (Stage::TrainCpu, self.train_cpu),
             (Stage::Accel, self.accel()),
         ]
-    }
-
-    /// Element-wise running average helper: `self + (other - self)/n`.
-    pub fn ewma_toward(&mut self, other: &StageTimes, alpha: f64) {
-        let mix = |a: &mut f64, b: f64| *a += alpha * (b - *a);
-        mix(&mut self.sample_cpu, other.sample_cpu);
-        mix(&mut self.sample_accel, other.sample_accel);
-        mix(&mut self.load, other.load);
-        mix(&mut self.transfer, other.transfer);
-        mix(&mut self.train_cpu, other.train_cpu);
-        mix(&mut self.train_accel, other.train_accel);
-        mix(&mut self.sync, other.sync);
     }
 }
 
@@ -303,14 +278,5 @@ mod tests {
         assert!(Stage::TrainCpu.is_cpu_task());
         assert!(!Stage::SampleAccel.is_cpu_task());
         assert!(!Stage::Accel.is_cpu_task());
-    }
-
-    #[test]
-    fn ewma_moves_toward_target() {
-        let mut a = StageTimes::zero();
-        a.ewma_toward(&t(), 0.5);
-        assert_eq!(a.load, 1.5);
-        a.ewma_toward(&t(), 1.0);
-        assert_eq!(a.load, 3.0);
     }
 }

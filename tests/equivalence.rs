@@ -4,25 +4,27 @@
 //! sequential algorithm."
 //!
 //! These tests make the claim mechanical:
-//! * the protocol-coordinated *parallel* weighted all-reduce produces
-//!   exactly the gradients of a sequential reduction over the same
-//!   batches;
+//! * the round's *parallel* dispatch (one train step per trainer)
+//!   followed by the weighted all-reduce produces exactly the gradients
+//!   of a sequential reduction over the same batches;
 //! * the timing-layer optimizations (TFP) change no numerics at all;
 //! * the *real* prefetching pipeline (background producer + credit-gated
 //!   queue, `prefetch_depth > 0`) trains bitwise-identical weights to
 //!   serial execution, including across DRM re-mapping events;
 //! * replicas stay in bitwise lock-step across iterations.
 
-use hyscale::core::protocol::TrainingRound;
 use hyscale::core::sync::Synchronizer;
 use hyscale::core::{AcceleratorKind, HybridTrainer, OptFlags, SystemConfig};
 use hyscale::gnn::{GnnKind, GnnModel, Gradients};
 use hyscale::graph::features::gather_features;
 use hyscale::graph::Dataset;
 use hyscale::sampler::NeighborSampler;
-use std::sync::Arc;
+use rayon::prelude::*;
+use std::time::Duration;
 
-/// Parallel protocol all-reduce == sequential weighted average, exactly.
+/// The executor's round — one `collect` item per trainer, the items
+/// finishing out of order — then the all-reduce == the sequential
+/// weighted average, exactly.
 #[test]
 fn parallel_allreduce_matches_sequential() {
     let ds = Dataset::toy(3);
@@ -51,24 +53,17 @@ fn parallel_allreduce_matches_sequential() {
         .collect();
     let seq_avg = Gradients::weighted_average(&seq_parts);
 
-    // parallel via the training protocol
-    let round = Arc::new(TrainingRound::new(3));
-    let sync = Synchronizer::new();
-    let mut par_avg = None;
-    std::thread::scope(|s| {
-        for (i, (mb, x, l)) in work.iter().enumerate() {
-            let round = Arc::clone(&round);
-            let model = &model;
-            s.spawn(move || {
-                let out = model.train_step(mb, x, l);
-                round.trainer_done(i, out.grads).unwrap();
-                round.trainer_ack();
-            });
-        }
-        par_avg = Some(round.synchronize(&sync).unwrap());
-        round.runtime_wait_acks().unwrap();
-    });
-    let par_avg = par_avg.unwrap();
+    // parallel, as the executor trains a round: earlier items sleep
+    // longer, so on several threads the items finish in reverse order
+    let par_parts: Vec<Gradients> = work
+        .par_iter()
+        .enumerate()
+        .map(|(i, (mb, x, l))| {
+            std::thread::sleep(Duration::from_millis(20 * (quotas.len() - i) as u64));
+            model.train_step(mb, x, l).grads
+        })
+        .collect();
+    let par_avg = Synchronizer::new().all_reduce(&par_parts);
 
     assert_eq!(par_avg.batch_size, seq_avg.batch_size);
     for (a, b) in par_avg.d_weights.iter().zip(&seq_avg.d_weights) {
