@@ -213,8 +213,9 @@ pub struct TrainConfig {
     /// Wire precision of mini-batch features on the PCIe transfer —
     /// the paper's §VIII data-quantization extension. Features are
     /// really quantized/dequantized in the functional path, so accuracy
-    /// effects are measurable: accelerator trainers read their features
-    /// from a view of the feature matrix built once at this precision.
+    /// effects are measurable: accelerator trainers gather their features
+    /// from a view of the feature matrix built once at this precision,
+    /// and keep them packed at it until layer 0 decodes them.
     pub transfer_precision: Precision,
     /// Task-level Feature Prefetching depth `d` (paper §IV-B) for the
     /// *real* executor pipeline: how many iterations' features may be

@@ -47,8 +47,8 @@ use hyscale_gnn::{GnnModel, Gradients, StepOutput};
 use hyscale_graph::features::gather_features;
 use hyscale_graph::Dataset;
 use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler};
-use hyscale_tensor::quant::WireFeatures;
-use hyscale_tensor::{Matrix, Optimizer};
+use hyscale_tensor::quant::{WireFeatures, WireRows};
+use hyscale_tensor::Optimizer;
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -324,13 +324,17 @@ impl HybridTrainer {
                     .map(|&s| self.dataset.data.labels[s as usize])
                     .collect()
             };
-            let work: Vec<(usize, &MiniBatch, &Matrix, Vec<u32>)> = batches
+            // Accelerator batches stay packed at wire precision; layer 0
+            // decodes them inside its aggregation.
+            let work: Vec<(usize, &MiniBatch, WireRows<'_>, Vec<u32>)> = batches
                 .iter()
                 .zip(&prepared.features)
                 .zip(&prepared.seed_sets)
                 .enumerate()
                 .filter_map(|(idx, ((b, f), seeds))| match (b.as_ref(), f.as_ref()) {
-                    (Some(b), Some(f)) if !seeds.is_empty() => Some((idx, b, f, labels_of(seeds))),
+                    (Some(b), Some(f)) if !seeds.is_empty() => {
+                        Some((idx, b, f.view(), labels_of(seeds)))
+                    }
                     _ => None,
                 })
                 .collect();
@@ -351,7 +355,7 @@ impl HybridTrainer {
                     } else {
                         &device
                     };
-                    group.install(|| self.model.train_step(mb, x, labels))
+                    group.install(|| self.model.train_step(mb, *x, labels))
                 })
                 .collect();
             let total_seeds: usize = work.iter().map(|(.., labels)| labels.len()).sum();
@@ -464,6 +468,7 @@ mod tests {
     use crate::drm::DrmAction;
     use hyscale_gnn::GnnKind;
     use hyscale_graph::CsrGraph;
+    use hyscale_tensor::Matrix;
 
     fn toy_config(opt: OptFlags) -> SystemConfig {
         SystemConfig {

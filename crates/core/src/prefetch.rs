@@ -14,12 +14,13 @@
 //! gather → queue**. Accelerator trainers' feature rows are gathered
 //! straight from the accelerator-side feature view
 //! ([`PrepareCtx::accel_features`], a [`WireFeatures`] built once per
-//! trainer in `HybridTrainer::new`), so a gathered accelerator batch
-//! already holds the wire-precision values the §VIII quantized transfer
-//! would deliver; the CPU trainer gathers from host memory. The
-//! round-trip commutes with the gather bit for bit (see
-//! `hyscale_tensor::quant`), so no per-iteration wire work is left on
-//! the host.
+//! trainer in `HybridTrainer::new`) and stay packed at the wire
+//! precision — int8 rows with their `(scale, offset)`, or binary16 bits
+//! — in a [`WireBatch`] until layer 0 decodes them inside its
+//! aggregation, as the §VIII quantized transfer would deliver them; the
+//! CPU trainer gathers f32 rows from host memory. The round-trip
+//! commutes with the gather bit for bit (see `hyscale_tensor::quant`),
+//! so no per-iteration wire work is left on the host.
 //!
 //! The prefetch depth `d` (`TrainConfig::prefetch_depth`) is the number
 //! of iterations whose features may be alive at once — being gathered,
@@ -63,7 +64,8 @@
 //! prepared batch is handed over. `tests/equivalence.rs` and the
 //! randomized DRM-schedule harness in `tests/proptest_invariants.rs`
 //! pin weights bitwise across prefetch depths {0, 1, 2, 3, 4} × wire
-//! precisions {F32, Int8}, including under live and scripted DRM moves.
+//! precisions {F32, F16, Int8}, including under live and scripted DRM
+//! moves.
 //!
 //! ## Allocation discipline
 //!
@@ -72,8 +74,9 @@
 //! where an iteration's batches end — after propagation, or discarded
 //! at teardown:
 //!
-//! * a feature matrix goes back to its trainer's feature free list, so
-//!   each trainer re-gathers into a buffer already sized to its batch;
+//! * a feature batch goes back to its trainer's feature free list, so
+//!   each trainer re-gathers into a buffer already sized to its batch
+//!   (and already at its wire precision);
 //! * a sampled [`MiniBatch`] goes back to its trainer's batch free list,
 //!   and the next sampling refills it in place
 //!   ([`NeighborSampler::sample_into`]). The sampler's scratch (its
@@ -104,8 +107,7 @@ use crate::stages::StageWorkers;
 use hyscale_graph::features::{gather_jobs_numa_into, GatherJob};
 use hyscale_graph::Dataset;
 use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler, SampleScratch};
-use hyscale_tensor::quant::WireFeatures;
-use hyscale_tensor::Matrix;
+use hyscale_tensor::quant::{WireBatch, WireFeatures};
 use parking_lot::{Condvar, Mutex};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -115,17 +117,18 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// A recycling pool of producer buffers shared between the producer
-/// thread and the consuming trainer: feature matrices and sampled
+/// thread and the consuming trainer: feature batches and sampled
 /// mini-batches (one free list per trainer each, so a trainer's gather
 /// and sampling refill buffers already sized to its own batch), and
 /// sampler scratch (one per sampling thread that has run at once).
 ///
 /// ```
 /// use hyscale_core::MatrixPool;
+/// use hyscale_tensor::Precision;
 ///
 /// let pool = MatrixPool::new();
 /// let mut x = pool.acquire(1);     // arbitrary shape — overwrite before reading
-/// x.resize(128, 16);
+/// x.reshape(Precision::Int8, 128, 16);
 /// pool.release(1, x);              // back to trainer 1's role after propagation
 /// assert_eq!(pool.idle(1), 1);
 /// assert_eq!(pool.idle(0), 0);     // roles don't share
@@ -134,7 +137,7 @@ use std::time::Instant;
 #[derive(Default)]
 pub struct MatrixPool {
     /// Indexed by trainer.
-    features: Mutex<Vec<Vec<Matrix>>>,
+    features: Mutex<Vec<Vec<WireBatch>>>,
     /// Indexed by trainer.
     batches: Mutex<Vec<Vec<MiniBatch>>>,
     scratch: Mutex<Vec<SampleScratch>>,
@@ -161,15 +164,15 @@ impl MatrixPool {
     }
 
     /// Take a feature buffer of trainer `trainer`'s role (arbitrary
-    /// shape/contents) or mint an empty one. Callers must
-    /// `resize`/overwrite before reading — the gather does both.
-    pub fn acquire(&self, trainer: usize) -> Matrix {
-        take_role(&self.features, trainer).unwrap_or_else(|| Matrix::uninit(0, 0))
+    /// shape, precision and contents) or mint an empty one. Callers
+    /// must `reshape`/overwrite before reading — the gather does both.
+    pub fn acquire(&self, trainer: usize) -> WireBatch {
+        take_role(&self.features, trainer).unwrap_or_default()
     }
 
     /// Return trainer `trainer`'s feature buffer for its role's next
     /// gather.
-    pub fn release(&self, trainer: usize, m: Matrix) {
+    pub fn release(&self, trainer: usize, m: WireBatch) {
         put_role(&self.features, trainer, m);
     }
 
@@ -334,9 +337,9 @@ impl PrepareCtx {
     /// domains of `X` with thread shares weighted by the rows' ownership
     /// histogram. Accelerator trainers read the wire view and the CPU
     /// trainer (trainer 0, when hybrid) reads host memory, so accelerator
-    /// batches arrive already at wire precision — bitwise what gathering
-    /// and then round-tripping would give.
-    fn gather_all(&self, jobs: &mut [(usize, &[u32], Matrix)]) {
+    /// batches arrive packed at wire precision; layer 0 decodes them to
+    /// bitwise what gathering and then round-tripping would give.
+    fn gather_all(&self, jobs: &mut [(usize, &[u32], WireBatch)]) {
         let mut gathers: Vec<GatherJob<'_>> = jobs
             .iter_mut()
             .map(|(trainer, indices, out)| GatherJob {
@@ -359,7 +362,8 @@ impl PrepareCtx {
 }
 
 /// One fully-prepared training iteration: sampled mini-batches plus
-/// gathered feature matrices (accelerator batches at wire precision),
+/// gathered feature batches (accelerator batches packed at wire
+/// precision),
 /// the plan for the next iteration, the producer-side wall-clock stage
 /// timings, and the prefetch credit it holds until it is recycled.
 pub struct PreparedIteration {
@@ -369,8 +373,8 @@ pub struct PreparedIteration {
     pub seed_sets: Vec<Vec<u32>>,
     /// Per-trainer sampled mini-batches (`None` for idle trainers).
     pub batches: Vec<Option<MiniBatch>>,
-    /// Per-trainer gathered feature matrices, pool-backed.
-    pub features: Vec<Option<Matrix>>,
+    /// Per-trainer gathered feature batches, pool-backed.
+    pub features: Vec<Option<WireBatch>>,
     /// Wall-clock seconds spent sampling.
     pub sample_wall_s: f64,
     /// Wall-clock seconds of the loader dispatch (feature gathering).
@@ -470,7 +474,7 @@ fn sample_iteration(
 /// loader pool.
 fn load_iteration(ctx: &PrepareCtx, prep: &mut PreparedIteration, pool: &MatrixPool) {
     let load_start = Instant::now();
-    let mut loads: Vec<(usize, &[u32], Matrix)> = prep
+    let mut loads: Vec<(usize, &[u32], WireBatch)> = prep
         .batches
         .iter()
         .enumerate()
@@ -774,7 +778,7 @@ mod tests {
     use crate::stages::Stage;
     use hyscale_gnn::GnnKind;
     use hyscale_tensor::init::randn;
-    use hyscale_tensor::Precision;
+    use hyscale_tensor::{Matrix, Precision};
     use std::time::Duration;
 
     /// The planner of the toy feeds below: a CPU trainer plus two
@@ -893,7 +897,7 @@ mod tests {
         let pool = MatrixPool::new();
         let mut m = pool.acquire(1);
         assert_eq!(pool.idle(1), 0);
-        m.resize(8, 4);
+        m.reshape(Precision::Int8, 8, 4);
         pool.release(1, m);
         assert_eq!(pool.idle(1), 1);
         assert_eq!(pool.acquire(2).shape(), (0, 0), "roles don't share buffers");
@@ -967,16 +971,28 @@ mod tests {
         let pool = MatrixPool::new();
         let threads = ThreadAlloc::default_for(8);
         let a = prepare_iteration(&ctx, &order, 0, 1, &even(16), &threads, &pool).unwrap();
-        // poison the pool's feature roles with stale buffers
-        pool.release(0, randn(200, 3, 1));
-        pool.release(1, Matrix::full(1, 1, f32::NAN));
-        pool.release(2, Matrix::full(7, 7, f32::NAN));
+        // poison the pool's feature roles with stale buffers, some at
+        // another precision than the role's wire
+        pool.release(0, WireBatch::F32(randn(200, 3, 1)));
+        pool.release(1, WireBatch::F32(Matrix::full(1, 1, f32::NAN)));
+        let mut stale = WireBatch::default();
+        stale.reshape(Precision::F16, 7, 7);
+        pool.release(2, stale);
         let b = prepare_iteration(&ctx, &order, 0, 1, &even(16), &threads, &pool).unwrap();
         assert_eq!(a.seed_sets, b.seed_sets);
         assert_eq!(a.plan, b.plan);
-        for (x, y) in a.features.iter().zip(&b.features) {
+        for (t, (x, y)) in a.features.iter().zip(&b.features).enumerate() {
             match (x, y) {
-                (Some(x), Some(y)) => assert_eq!(x.as_slice(), y.as_slice()),
+                (Some(x), Some(y)) => {
+                    assert_eq!(x, y, "trainer {t}");
+                    // the CPU trainer reads f32, accelerators stay packed
+                    let want = if t == 0 {
+                        Precision::F32
+                    } else {
+                        Precision::Int8
+                    };
+                    assert_eq!(y.view().precision(), want, "trainer {t}");
+                }
                 (None, None) => {}
                 _ => panic!("feature presence diverged"),
             }
@@ -1037,7 +1053,7 @@ mod tests {
                         assert_eq!(a.plan, b.plan);
                         for (x, y) in a.features.iter().zip(&b.features) {
                             if let (Some(x), Some(y)) = (x, y) {
-                                assert_eq!(x.as_slice(), y.as_slice());
+                                assert_eq!(x, y);
                             }
                         }
                         assert_eq!(a.seed_sets[0].len(), if iter == 0 { 8 } else { 12 });

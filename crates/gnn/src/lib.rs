@@ -23,11 +23,11 @@
 pub mod aggregate;
 pub mod gradcheck;
 pub mod grads;
-pub mod inference;
 pub mod model;
 
 pub use aggregate::{
-    aggregate_gcn, aggregate_gcn_backward, aggregate_mean, aggregate_mean_backward, GcnCoefficients,
+    aggregate, aggregate_gcn, aggregate_gcn_backward, aggregate_mean, aggregate_mean_backward,
+    GcnCoefficients,
 };
 pub use grads::Gradients;
 pub use model::{GnnKind, GnnModel, StepOutput};

@@ -35,17 +35,23 @@
 //! model does not have, since the features are not trainable.
 //!
 //! Every layer borrows its input: the gathered features for layer 0, the
-//! previous layer's cached activation after that. The ReLU mask reads the
-//! activation instead of a copy of `z`: `ReLU(z) ≤ 0` exactly when
-//! `z ≤ 0`, so the mask is the same.
+//! previous layer's cached activation after that. Layer 0's input is a
+//! [`WireRows`]: host f32 rows, or an accelerator batch still packed at
+//! wire precision. The aggregation decodes packed elements as it reads
+//! them, and SAGE decodes only the `num_dst` destination rows, once, for
+//! its self half in the forward pass and in `∂W`; nothing else reads
+//! layer 0's input, so a packed batch trains to the bits of its decoded
+//! f32 copy. The ReLU mask reads the activation instead of a copy of
+//! `z`: `ReLU(z) ≤ 0` exactly when `z ≤ 0`, so the mask is the same.
 
 use crate::aggregate::{
-    aggregate_gcn, aggregate_gcn_backward, aggregate_mean, aggregate_mean_backward, GcnCoefficients,
+    aggregate, aggregate_gcn_backward, aggregate_mean_backward, GcnCoefficients,
 };
 use crate::grads::Gradients;
 use hyscale_sampler::{Block, MiniBatch};
 use hyscale_tensor::ops::{add_bias_inplace, bias_grad, relu_backward_inplace, relu_inplace};
 use hyscale_tensor::optim::Optimizer;
+use hyscale_tensor::quant::WireRows;
 use hyscale_tensor::{
     gemm_nn, gemm_nn_acc, gemm_nt, gemm_nt_acc, gemm_tn, gemm_tn_acc, softmax_cross_entropy,
     xavier_uniform, Matrix,
@@ -186,12 +192,13 @@ impl GnnModel {
 
     /// Forward pass only: logits for the seed vertices.
     ///
-    /// `x` holds the gathered input features (`mb.input_nodes` rows).
-    pub fn forward(&self, mb: &MiniBatch, x: &Matrix) -> Matrix {
-        self.forward_cached(mb, x).logits
+    /// `x` holds the gathered input features (`mb.input_nodes` rows):
+    /// a host matrix or a batch packed at wire precision.
+    pub fn forward<'a>(&self, mb: &MiniBatch, x: impl Into<WireRows<'a>>) -> Matrix {
+        self.forward_cached(mb, x.into()).logits
     }
 
-    fn forward_cached(&self, mb: &MiniBatch, x: &Matrix) -> ForwardCache {
+    fn forward_cached(&self, mb: &MiniBatch, x: WireRows<'_>) -> ForwardCache {
         assert_eq!(
             mb.num_layers(),
             self.layers.len(),
@@ -207,11 +214,29 @@ impl GnnModel {
         let layers = self.layers.len();
         let mut per_layer = Vec::with_capacity(layers);
         let mut activations: Vec<Matrix> = Vec::with_capacity(layers - 1);
-        for (l, block) in mb.blocks.iter().enumerate() {
-            let h_src = activations.last().unwrap_or(x);
+        for (l, (block, params)) in mb.blocks.iter().zip(&self.layers).enumerate() {
+            let h_src = activations.last().map_or(x, WireRows::F32);
             let gcn_coef = self.kind.block_coefficients(block);
-            let (agg, mut z) = self.layer_forward(block, h_src, l, gcn_coef.as_ref());
-            per_layer.push(LayerCache { agg, gcn_coef });
+            let agg = aggregate(block, h_src, gcn_coef.as_ref());
+            let (mut z, dst_decoded) = match gcn_coef {
+                Some(_) => (gemm_nn(&agg, &params.w), None),
+                None => {
+                    let dst_decoded = decode_dst_rows(block, h_src);
+                    let dims = (block.num_dst, h_src.cols(), params.w.cols());
+                    let (w_self, w_neigh) = params.sage_halves();
+                    let mut z = Matrix::zeros(block.num_dst, params.w.cols());
+                    let h_dst = dst_rows(block, h_src, dst_decoded.as_ref());
+                    gemm_nn_acc(z.as_mut_slice(), h_dst, w_self, dims);
+                    gemm_nn_acc(z.as_mut_slice(), agg.as_slice(), w_neigh, dims);
+                    (z, dst_decoded)
+                }
+            };
+            add_bias_inplace(&mut z, &params.b);
+            per_layer.push(LayerCache {
+                agg,
+                gcn_coef,
+                dst_decoded,
+            });
             if l + 1 == layers {
                 return ForwardCache {
                     per_layer,
@@ -225,43 +250,20 @@ impl GnnModel {
         unreachable!("a model has at least one layer")
     }
 
-    /// Layer `layer`'s aggregate-update over `block`, before the
-    /// activation: returns the aggregation (kept for the weight gradient)
-    /// and `z`. `coef` carries GCN/GIN's aggregation coefficients and is
-    /// `None` for SAGE.
-    pub(crate) fn layer_forward(
-        &self,
-        block: &Block,
-        h_src: &Matrix,
-        layer: usize,
-        coef: Option<&GcnCoefficients>,
-    ) -> (Matrix, Matrix) {
-        let params = &self.layers[layer];
-        let (agg, mut z) = match coef {
-            Some(coef) => {
-                let agg = aggregate_gcn(block, h_src, coef);
-                let z = gemm_nn(&agg, &params.w);
-                (agg, z)
-            }
-            None => {
-                let mean = aggregate_mean(block, h_src);
-                let dims = (block.num_dst, h_src.cols(), params.w.cols());
-                let (w_self, w_neigh) = params.sage_halves();
-                let mut z = Matrix::zeros(block.num_dst, params.w.cols());
-                gemm_nn_acc(z.as_mut_slice(), dst_rows(block, h_src), w_self, dims);
-                gemm_nn_acc(z.as_mut_slice(), mean.as_slice(), w_neigh, dims);
-                (mean, z)
-            }
-        };
-        add_bias_inplace(&mut z, &params.b);
-        (agg, z)
-    }
-
     /// One training step: forward, loss, backward. Returns loss/accuracy
     /// and gradients (mean over this batch); does *not* update weights —
     /// the synchronizer averages first (paper Fig. 4 step "GNN
     /// Propagation" → "Synchronizer").
-    pub fn train_step(&self, mb: &MiniBatch, x: &Matrix, labels: &[u32]) -> StepOutput {
+    ///
+    /// `x` is layer 0's input, a host matrix or a batch packed at wire
+    /// precision; a packed batch gives the bits of its decoded copy.
+    pub fn train_step<'a>(
+        &self,
+        mb: &MiniBatch,
+        x: impl Into<WireRows<'a>>,
+        labels: &[u32],
+    ) -> StepOutput {
+        let x = x.into();
         let cache = self.forward_cached(mb, x);
         let loss_out = softmax_cross_entropy(&cache.logits, labels);
         let acc = hyscale_tensor::accuracy(&cache.logits, labels);
@@ -274,7 +276,11 @@ impl GnnModel {
             let block = &mb.blocks[l];
             let params = &self.layers[l];
             let lc = &cache.per_layer[l];
-            let h_src = if l == 0 { x } else { &cache.activations[l - 1] };
+            let h_src = if l == 0 {
+                x
+            } else {
+                WireRows::F32(&cache.activations[l - 1])
+            };
             let mut d_z = d_h;
             if l + 1 < layers {
                 relu_backward_inplace(&mut d_z, &cache.activations[l]);
@@ -286,7 +292,8 @@ impl GnnModel {
                     let dims = (h_src.cols(), block.num_dst, d_z.cols());
                     let mut d_w = Matrix::zeros(params.w.rows(), params.w.cols());
                     let (d_self, d_neigh) = d_w.as_mut_slice().split_at_mut(params.w.len() / 2);
-                    gemm_tn_acc(d_self, dst_rows(block, h_src), d_z.as_slice(), dims);
+                    let h_dst = dst_rows(block, h_src, lc.dst_decoded.as_ref());
+                    gemm_tn_acc(d_self, h_dst, d_z.as_slice(), dims);
                     gemm_tn_acc(d_neigh, lc.agg.as_slice(), d_z.as_slice(), dims);
                     d_w
                 }
@@ -372,10 +379,24 @@ impl GnnModel {
     }
 }
 
-/// The destination rows of a layer input: a block's destinations are the
-/// prefix of its sources.
-fn dst_rows<'a>(block: &Block, h_src: &'a Matrix) -> &'a [f32] {
-    &h_src.as_slice()[..block.num_dst * h_src.cols()]
+/// A packed layer input's destination rows (a block's destinations are
+/// the prefix of its sources), decoded once for SAGE's self half; `None`
+/// for f32 input, which [`dst_rows`] reads in place.
+fn decode_dst_rows(block: &Block, h_src: WireRows<'_>) -> Option<Matrix> {
+    match h_src {
+        WireRows::F32(_) => None,
+        packed => Some(packed.decode_prefix(block.num_dst)),
+    }
+}
+
+/// The destination rows of a layer input as f32: borrowed from an f32
+/// input, or the copy [`decode_dst_rows`] made of a packed one.
+fn dst_rows<'a>(block: &Block, h_src: WireRows<'a>, decoded: Option<&'a Matrix>) -> &'a [f32] {
+    match (decoded, h_src) {
+        (Some(m), _) => m.as_slice(),
+        (None, WireRows::F32(m)) => &m.as_slice()[..block.num_dst * m.cols()],
+        (None, _) => unreachable!("a packed layer input's destination rows are decoded"),
+    }
 }
 
 struct LayerCache {
@@ -384,6 +405,8 @@ struct LayerCache {
     agg: Matrix,
     /// GCN/GIN coefficients (None for SAGE).
     gcn_coef: Option<GcnCoefficients>,
+    /// SAGE on a packed layer-0 input: its destination rows, decoded.
+    dst_decoded: Option<Matrix>,
 }
 
 struct ForwardCache {
@@ -397,9 +420,11 @@ struct ForwardCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{aggregate_gcn, aggregate_mean};
     use hyscale_graph::features::gather_features;
     use hyscale_graph::Dataset;
     use hyscale_sampler::NeighborSampler;
+    use hyscale_tensor::quant::{HalfMatrix, QuantizedMatrix};
     use hyscale_tensor::Sgd;
 
     fn setup(kind: GnnKind) -> (Dataset, NeighborSampler, GnnModel) {
@@ -638,6 +663,60 @@ mod tests {
                         bits(&out.grads.d_biases[l]),
                         bits(&d_biases[l]),
                         "{case}: d_biases[{l}]"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_layer_inputs_train_to_the_bits_of_their_decoded_copy() {
+        let ds = Dataset::toy(7);
+        // f0 > K_BLOCK as well, so the decoded SAGE self rows feed
+        // k-tiles that straddle the W_self/W_neigh boundary
+        let cases: [(&[usize], &[usize]); 3] = [
+            (&[16, 32, 4], &[8, 5]),
+            (&[300, 32, 4], &[8, 5]),
+            (&[16, 24, 32, 4], &[5, 4, 3]),
+        ];
+        for kind in [GnnKind::Gcn, GnnKind::GraphSage, GnnKind::Gin] {
+            for (dims, fanouts) in cases {
+                let sampler = NeighborSampler::new(fanouts.to_vec(), 5);
+                let model = GnnModel::new(kind, dims, 13);
+                let seeds: Vec<u32> = ds.splits.train[..24].to_vec();
+                let mb = sampler.sample(&ds.graph, &seeds, 4);
+                let x = Matrix::from_fn(mb.input_nodes.len(), dims[0], |r, c| {
+                    match (r + 2 * c) % 7 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => ((r * 29 + c * 17) as f32 * 0.011).cos() * 3.0,
+                    }
+                });
+                let labels = labels_of(&ds, &seeds);
+                let int8 = QuantizedMatrix::quantize_int8(&x);
+                let f16 = HalfMatrix::from_f32(&x);
+                for packed in [WireRows::Int8(&int8), WireRows::F16(&f16)] {
+                    let decoded = packed.decode();
+                    let case = format!("{} {:?} dims {dims:?}", kind.name(), packed.precision());
+                    let a = model.train_step(&mb, packed, &labels);
+                    let b = model.train_step(&mb, &decoded, &labels);
+                    assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{case}: loss");
+                    for l in 0..dims.len() - 1 {
+                        assert_eq!(
+                            bits(a.grads.d_weights[l].as_slice()),
+                            bits(b.grads.d_weights[l].as_slice()),
+                            "{case}: d_weights[{l}]"
+                        );
+                        assert_eq!(
+                            bits(&a.grads.d_biases[l]),
+                            bits(&b.grads.d_biases[l]),
+                            "{case}: d_biases[{l}]"
+                        );
+                    }
+                    assert_eq!(
+                        bits(model.forward(&mb, packed).as_slice()),
+                        bits(model.forward(&mb, &decoded).as_slice()),
+                        "{case}: logits"
                     );
                 }
             }

@@ -7,7 +7,7 @@
 
 use crate::csr::CsrGraph;
 use hyscale_tensor::init::randn;
-use hyscale_tensor::quant::WireFeatures;
+use hyscale_tensor::quant::{WireBatch, WireFeatures};
 use hyscale_tensor::Matrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -163,23 +163,25 @@ pub fn domain_histogram(indices: &[u32], rows_per_domain: usize, num_domains: us
 }
 
 /// One output of [`gather_jobs_numa_into`]: rows `indices` of `wire`'s
-/// view of `X`, written into `out`.
+/// view of `X`, written into `out` as `wire` stores them.
 pub struct GatherJob<'a> {
-    /// Reshaped to `indices.len() × f0` and overwritten.
-    pub out: &'a mut Matrix,
-    /// The view the rows are decoded from.
+    /// Reshaped to `indices.len() × f0` at `wire`'s precision and
+    /// overwritten.
+    pub out: &'a mut WireBatch,
+    /// The view the rows are copied from.
     pub wire: &'a WireFeatures,
     /// Source rows, in output order.
     pub indices: &'a [u32],
 }
 
-/// NUMA-aware variant of [`gather_features_into`] over several outputs,
-/// read through wire views: each job's `out = round_trip(X)[indices, :]`,
-/// each row decoded from the job's `wire` (built from `x`;
-/// [`WireFeatures::Host`] copies `x` as is) as it is copied. The
-/// round-trip is per row, so this is bitwise what gathering from `x` and
-/// then running `Precision::round_trip_in_place` on the result gives (see
-/// `hyscale_tensor::quant`).
+/// NUMA-aware gather of several outputs from wire views: each job's
+/// `out` receives rows `indices` of its `wire` view of `x`, copied as
+/// stored. [`WireFeatures::Host`] copies f32 rows of `x`; an int8 view
+/// copies the packed int8 rows with their per-row `(scale, offset)`, and
+/// an f16 view its binary16 bits. Nothing is decoded: layer 0 decodes
+/// each element as its aggregation reads it (see `hyscale_tensor::quant`),
+/// which gives bitwise what gathering from `x` and then running
+/// `Precision::round_trip_in_place` on the result gives.
 ///
 /// All jobs run in one dispatch: their rows are treated as one
 /// concatenated row range, so `group`'s threads split the rows of all
@@ -207,44 +209,37 @@ pub fn gather_jobs_numa_into(
     group: &rayon::WorkerGroup,
 ) {
     let dim = x.cols();
+    let views: Vec<_> = jobs.iter().map(|job| job.wire.view(x)).collect();
     // starts[j] is job j's first row in the concatenated range
     let mut starts = Vec::with_capacity(jobs.len() + 1);
     let mut total = 0;
-    for job in jobs.iter_mut() {
-        job.out.resize(job.indices.len(), dim);
+    for (job, view) in jobs.iter_mut().zip(&views) {
+        job.out.reshape(view.precision(), job.indices.len(), dim);
         starts.push(total);
         total += job.indices.len();
     }
     starts.push(total);
-    let outs: Vec<usize> = jobs
-        .iter_mut()
-        .map(|job| job.out.as_mut_slice().as_mut_ptr() as usize)
-        .collect();
-    let jobs: &[GatherJob<'_>] = jobs;
+    let indices: Vec<&[u32]> = jobs.iter().map(|job| job.indices).collect();
+    let fills: Vec<_> = jobs.iter_mut().map(|job| job.out.row_fill()).collect();
     // Copy the rows `s..e` of the concatenated range that `keep` accepts.
     let copy_rows = |s: usize, e: usize, keep: &dyn Fn(u32) -> bool| {
         let mut j = starts.partition_point(|&start| start <= s) - 1;
         let mut row = s;
         while row < e {
-            let job = &jobs[j];
             let end = e.min(starts[j + 1]);
-            for (r, &src) in job.indices[row - starts[j]..end - starts[j]]
+            for (r, &src) in indices[j][row - starts[j]..end - starts[j]]
                 .iter()
                 .enumerate()
             {
                 if !keep(src) {
                     continue; // row owned by another socket's workers
                 }
-                let local = row - starts[j] + r;
-                // SAFETY: output row `local` of job `j` is concatenated
-                // row `row + r`, which lies in exactly one dispatched
-                // sub-range and, when sharded, is owned by exactly one
-                // domain (its source row's), so it has a unique writer;
-                // the outputs outlive the scoped threads of the dispatch.
-                let dst = unsafe {
-                    std::slice::from_raw_parts_mut((outs[j] as *mut f32).add(local * dim), dim)
-                };
-                job.wire.read_row(x, src as usize, dst);
+                // SAFETY: output row `row - starts[j] + r` of job `j` is
+                // concatenated row `row + r`, which lies in exactly one
+                // dispatched sub-range and, when sharded, is owned by
+                // exactly one domain (its source row's), so it has a
+                // unique writer.
+                unsafe { fills[j].copy_row(row - starts[j] + r, views[j], src as usize) };
             }
             row = end;
             j += 1;
@@ -257,15 +252,15 @@ pub fn gather_jobs_numa_into(
     }
     // Contiguous range partition of X's rows: socket d owns rows
     // [d*per, (d+1)*per). The domain is clamped like the histogram, so
-    // an index past the matrix reaches the last socket's `read_row` and
+    // an index past the matrix reaches the last socket's `copy_row` and
     // panics there instead of leaving its output row unwritten.
     let per = x.rows().div_ceil(num_domains).max(1);
     let owner = |src: u32| (src as usize / per).min(num_domains - 1);
     let mut hist = vec![0usize; num_domains];
-    for job in jobs {
+    for job_indices in &indices {
         for (h, n) in hist
             .iter_mut()
-            .zip(domain_histogram(job.indices, per, num_domains))
+            .zip(domain_histogram(job_indices, per, num_domains))
         {
             *h += n;
         }
@@ -317,7 +312,7 @@ mod tests {
 
     /// [`gather_jobs_numa_into`] with a single job.
     fn gather_one(
-        out: &mut Matrix,
+        out: &mut WireBatch,
         wire: &WireFeatures,
         x: &Matrix,
         indices: &[u32],
@@ -420,11 +415,11 @@ mod tests {
         for domains in [1usize, 2, 3, 8] {
             for width in [1usize, 2, 5, 16] {
                 let group = rayon::WorkerGroup::new("loader", width);
-                let mut out = Matrix::full(10, 2, f32::NAN); // stale shape + contents
+                let mut out = WireBatch::F32(Matrix::full(10, 2, f32::NAN)); // stale shape + contents
                 gather_one(&mut out, &WireFeatures::Host, &x, &idx, domains, &group);
                 assert_eq!(
-                    out.as_slice(),
-                    reference.as_slice(),
+                    out,
+                    WireBatch::F32(reference.clone()),
                     "NUMA gather diverged at {domains} domains, width {width}"
                 );
             }
@@ -451,10 +446,12 @@ mod tests {
             for domains in [1usize, 2, 3] {
                 for width in [1usize, 4] {
                     let group = rayon::WorkerGroup::new("loader", width);
-                    let mut out = Matrix::full(5, 2, f32::NAN); // stale shape + contents
+                    // stale shape, contents and precision
+                    let mut out = WireBatch::F32(Matrix::full(5, 2, f32::NAN));
                     gather_one(&mut out, &wire, &x, &idx, domains, &group);
+                    assert_eq!(out.view().precision(), p, "the batch stays packed");
                     assert_eq!(
-                        bits(&out),
+                        bits(&out.view().decode()),
                         bits(&expected),
                         "{p:?} view gather diverged at {domains} domains, width {width}"
                     );
@@ -469,7 +466,7 @@ mod tests {
         // used to skip such rows silently, leaving stale output behind
         let x = randn(4, 3, 1);
         let group = rayon::WorkerGroup::new("loader", 1);
-        let mut out = Matrix::uninit(0, 0);
+        let mut out = WireBatch::default();
         gather_one(&mut out, &WireFeatures::Host, &x, &[1, 9, 2], 2, &group);
     }
 
@@ -485,11 +482,11 @@ mod tests {
         let reference = gather_features(&x, &idx);
         for domains in [1usize, 2, 4] {
             let group = rayon::WorkerGroup::new("loader", 4);
-            let mut out = Matrix::uninit(0, 0);
+            let mut out = WireBatch::default();
             gather_one(&mut out, &WireFeatures::Host, &x, &idx, domains, &group);
             assert_eq!(
-                out.as_slice(),
-                reference.as_slice(),
+                out,
+                WireBatch::F32(reference.clone()),
                 "concurrent NUMA gather diverged at {domains} domains"
             );
         }
@@ -522,11 +519,11 @@ mod tests {
         let reference = gather_features(&x, &skewed);
         for domains in [2usize, 4] {
             let group = rayon::WorkerGroup::new("loader", 4);
-            let mut out = Matrix::full(3, 3, f32::NAN);
+            let mut out = WireBatch::F32(Matrix::full(3, 3, f32::NAN));
             gather_one(&mut out, &WireFeatures::Host, &x, &skewed, domains, &group);
             assert_eq!(
-                out.as_slice(),
-                reference.as_slice(),
+                out,
+                WireBatch::F32(reference.clone()),
                 "skewed NUMA gather diverged at {domains} domains"
             );
         }
@@ -553,11 +550,11 @@ mod tests {
             &WireFeatures::Host,
             &int8,
         ];
-        let expected: Vec<Matrix> = index_sets
+        let expected: Vec<WireBatch> = index_sets
             .iter()
             .zip(wires)
             .map(|(idx, wire)| {
-                let mut m = Matrix::uninit(0, 0);
+                let mut m = WireBatch::default();
                 let group = rayon::WorkerGroup::new("loader", 1);
                 gather_one(&mut m, wire, &x, idx, 1, &group);
                 m
@@ -566,8 +563,9 @@ mod tests {
         for domains in [1usize, 2, 3] {
             for width in [1usize, 2, 3, 8] {
                 let group = rayon::WorkerGroup::new("loader", width);
-                let mut outs: Vec<Matrix> =
-                    (0..5).map(|k| Matrix::full(k + 2, 3, f32::NAN)).collect();
+                let mut outs: Vec<WireBatch> = (0..5)
+                    .map(|k| WireBatch::F32(Matrix::full(k + 2, 3, f32::NAN)))
+                    .collect();
                 let mut jobs: Vec<GatherJob<'_>> = outs
                     .iter_mut()
                     .zip(&index_sets)
@@ -577,8 +575,11 @@ mod tests {
                 gather_jobs_numa_into(&mut jobs, &x, domains, &group);
                 for (k, (got, want)) in outs.iter().zip(&expected).enumerate() {
                     assert_eq!(got.shape(), want.shape(), "job {k}");
-                    let bits =
-                        |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let bits = |b: &WireBatch| {
+                        let m = b.view().decode();
+                        m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(got.view().precision(), want.view().precision(), "job {k}");
                     assert_eq!(
                         bits(got),
                         bits(want),
@@ -594,9 +595,9 @@ mod tests {
         let x = randn(3, 4, 5);
         let idx = vec![2, 0, 1, 2];
         let group = rayon::WorkerGroup::new("loader", 4);
-        let mut out = Matrix::uninit(0, 0);
+        let mut out = WireBatch::default();
         gather_one(&mut out, &WireFeatures::Host, &x, &idx, 8, &group);
-        assert_eq!(out.as_slice(), gather_features(&x, &idx).as_slice());
+        assert_eq!(out, WireBatch::F32(gather_features(&x, &idx)));
     }
 
     #[test]

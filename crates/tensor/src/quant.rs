@@ -8,7 +8,7 @@
 //! path really quantizes and dequantizes (so accuracy effects are
 //! measurable), and the timing layer scales transfer bytes accordingly.
 //!
-//! ## The accelerator feature view
+//! ## Packed from the feature view to layer 0
 //!
 //! The wire round-trip ([`Precision::round_trip`]) is a per-row pure
 //! function: row `r` of `round_trip(X)` depends on row `r` of `X` and
@@ -19,14 +19,19 @@
 //! round_trip(gather(X, idx)) == gather(round_trip(X), idx)
 //! ```
 //!
-//! [`WireFeatures`] uses this to take the round-trip out of the
+//! [`WireFeatures`] uses this to take the quantization out of the
 //! training loop. It stores `X` at wire precision once (int8 as a
-//! [`QuantizedMatrix`] at a quarter of the f32 size, f16 as binary16
-//! bits, f32 as the host matrix itself with no copy), and an
-//! accelerator's mini-batch is gathered straight from it, each row
-//! decoded as it is copied. A row that repeats across trainers and
-//! iterations is quantized once instead of once per visit, and the
-//! trained numerics do not change by a single bit.
+//! [`QuantizedMatrix`] at a quarter of the f32 size, f16 as a
+//! [`HalfMatrix`] of binary16 bits, f32 as the host matrix itself with
+//! no copy). An accelerator's mini-batch is gathered from it as stored:
+//! packed int8 rows with their `(scale, offset)`, or binary16 bits, into
+//! a [`WireBatch`]. Nothing is decoded on the host side of the wire.
+//! Layer 0 decodes each element as its aggregation reads it — the
+//! paper's "dequantize on the accelerator" — through [`WireRows`], whose
+//! element decoders ([`int8_decode`], [`f16_to_f32`]) are the one
+//! definition of the decode formula. Decoding and then multiplying gives
+//! the bits of multiplying a decoded copy, so training reads exactly
+//! `round_trip(X)` without ever materializing it.
 
 use crate::matrix::Matrix;
 
@@ -151,7 +156,16 @@ fn int8_quantize_value(v: f32, scale: f32, offset: f32) -> i8 {
 /// Quantize-then-dequantize one value under `(scale, offset)`.
 #[inline]
 fn int8_round_trip_value(v: f32, scale: f32, offset: f32) -> f32 {
-    f32::from(int8_quantize_value(v, scale, offset)) * scale + offset
+    int8_decode(int8_quantize_value(v, scale, offset), scale, offset)
+}
+
+/// Decode one int8 wire element under its row's `(scale, offset)`: the
+/// one dequantization formula, shared by the round-trip,
+/// [`WireRows::decode_row`] and layer 0's aggregation kernel, so an
+/// element decoded anywhere has the same bits.
+#[inline(always)]
+pub fn int8_decode(q: i8, scale: f32, offset: f32) -> f32 {
+    f32::from(q) * scale + offset
 }
 
 /// Convert f32 to IEEE 754 binary16 bits (round-to-nearest-even).
@@ -199,7 +213,9 @@ pub fn f32_to_f16(value: f32) -> u16 {
     sign // underflow to zero
 }
 
-/// Convert IEEE 754 binary16 bits to f32.
+/// Convert IEEE 754 binary16 bits to f32 (exact: every binary16 value
+/// is an f32 value). The F16 wire's decode formula.
+#[inline]
 pub fn f16_to_f32(bits: u16) -> f32 {
     let sign = u32::from(bits >> 15) << 31;
     let exp = (bits >> 10) & 0x1f;
@@ -226,21 +242,16 @@ pub fn f16_to_f32(bits: u16) -> f32 {
 }
 
 /// The feature matrix as accelerators receive it over the wire, built
-/// once from the host matrix and then read row by row: row `r` read
-/// through [`read_row`](Self::read_row) equals row `r` of
-/// `precision.round_trip(host)` bit for bit (see the module docs for
-/// why gathering from it equals round-tripping a gathered batch).
+/// once from the host matrix: row `r` of [`view`](Self::view) decodes
+/// to row `r` of `precision.round_trip(host)` bit for bit (see the
+/// module docs for why gathering from it equals round-tripping a
+/// gathered batch).
 pub enum WireFeatures {
     /// F32 wire, the identity: nothing is stored, rows are read from
     /// the host matrix.
     Host,
-    /// F16 wire: the binary16 bits of every element, row-major.
-    F16 {
-        /// `rows × cols` binary16 values.
-        bits: Vec<u16>,
-        /// Row width.
-        cols: usize,
-    },
+    /// F16 wire: the binary16 bits of every element.
+    F16(HalfMatrix),
     /// Int8 wire: per-row affine int8, a quarter of the f32 size.
     Int8(QuantizedMatrix),
 }
@@ -251,34 +262,234 @@ impl WireFeatures {
     pub fn build(precision: Precision, host: &Matrix) -> Self {
         match precision {
             Precision::F32 => WireFeatures::Host,
-            Precision::F16 => {
-                let cols = host.cols();
-                let mut bits = vec![0u16; host.rows() * cols];
-                for_row_blocks(&mut bits, cols, |first, block| {
-                    let src = &host.as_slice()[first * cols..first * cols + block.len()];
-                    for (b, &v) in block.iter_mut().zip(src) {
-                        *b = f32_to_f16(v);
-                    }
-                });
-                WireFeatures::F16 { bits, cols }
-            }
+            Precision::F16 => WireFeatures::F16(HalfMatrix::from_f32(host)),
             Precision::Int8 => WireFeatures::Int8(QuantizedMatrix::quantize_int8(host)),
         }
     }
 
-    /// Write row `r` of the round-tripped host matrix into `dst` (one
-    /// row wide). `host` is the matrix this view was built from; only
-    /// [`WireFeatures::Host`] reads it.
-    #[inline]
-    pub fn read_row(&self, host: &Matrix, r: usize, dst: &mut [f32]) {
+    /// The stored rows. `host` is the matrix this view was built from;
+    /// only [`WireFeatures::Host`] reads it.
+    pub fn view<'a>(&'a self, host: &'a Matrix) -> WireRows<'a> {
         match self {
-            WireFeatures::Host => dst.copy_from_slice(host.row(r)),
-            WireFeatures::F16 { bits, cols } => {
-                for (d, &b) in dst.iter_mut().zip(&bits[r * cols..(r + 1) * cols]) {
+            WireFeatures::Host => WireRows::F32(host),
+            WireFeatures::F16(h) => WireRows::F16(h),
+            WireFeatures::Int8(q) => WireRows::Int8(q),
+        }
+    }
+}
+
+/// Rows at some wire precision, read element by element: layer 0's
+/// input. Every way of reading an element goes through
+/// [`int8_decode`] or [`f16_to_f32`], so a row decoded by
+/// [`decode_row`](Self::decode_row) and the same row read inside an
+/// aggregation loop have the same bits.
+#[derive(Clone, Copy, Debug)]
+pub enum WireRows<'a> {
+    /// Host f32 rows: the CPU trainer, the f32 wire, hidden layers.
+    F32(&'a Matrix),
+    /// Binary16 bits.
+    F16(&'a HalfMatrix),
+    /// Packed int8 rows with their `(scale, offset)`.
+    Int8(&'a QuantizedMatrix),
+}
+
+impl<'a> From<&'a Matrix> for WireRows<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        WireRows::F32(m)
+    }
+}
+
+impl WireRows<'_> {
+    /// The precision the rows are stored at.
+    pub fn precision(&self) -> Precision {
+        match self {
+            WireRows::F32(_) => Precision::F32,
+            WireRows::F16(_) => Precision::F16,
+            WireRows::Int8(_) => Precision::Int8,
+        }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        match self {
+            WireRows::F32(m) => m.rows(),
+            WireRows::F16(h) => h.rows,
+            WireRows::Int8(q) => q.rows,
+        }
+    }
+
+    /// Row width.
+    pub fn cols(&self) -> usize {
+        match self {
+            WireRows::F32(m) => m.cols(),
+            WireRows::F16(h) => h.cols,
+            WireRows::Int8(q) => q.cols,
+        }
+    }
+
+    /// Decode row `r` into `dst` (one row wide).
+    #[inline]
+    pub fn decode_row(&self, r: usize, dst: &mut [f32]) {
+        match self {
+            WireRows::F32(m) => dst.copy_from_slice(m.row(r)),
+            WireRows::F16(h) => {
+                for (d, &b) in dst.iter_mut().zip(h.row(r)) {
                     *d = f16_to_f32(b);
                 }
             }
-            WireFeatures::Int8(q) => q.dequantize_row_into(r, dst),
+            WireRows::Int8(q) => {
+                let (data, (scale, offset)) = q.row(r);
+                for (d, &v) in dst.iter_mut().zip(data) {
+                    *d = int8_decode(v, scale, offset);
+                }
+            }
+        }
+    }
+
+    /// The first `n` rows, decoded to f32.
+    pub fn decode_prefix(&self, n: usize) -> Matrix {
+        let mut out = Matrix::uninit(n, self.cols());
+        for r in 0..n {
+            self.decode_row(r, out.row_mut(r));
+        }
+        out
+    }
+
+    /// Every row, decoded to f32.
+    pub fn decode(&self) -> Matrix {
+        self.decode_prefix(self.rows())
+    }
+}
+
+/// A gathered batch of feature rows, kept at the precision it was
+/// gathered from: f32 for the CPU trainer and the f32 wire, packed
+/// binary16 or int8 for the other wires. Layer 0 reads it through
+/// [`view`](Self::view).
+#[derive(Clone, Debug, PartialEq)]
+pub enum WireBatch {
+    /// f32 rows.
+    F32(Matrix),
+    /// Binary16 rows.
+    F16(HalfMatrix),
+    /// Packed int8 rows with their `(scale, offset)`.
+    Int8(QuantizedMatrix),
+}
+
+impl Default for WireBatch {
+    fn default() -> Self {
+        WireBatch::F32(Matrix::uninit(0, 0))
+    }
+}
+
+impl WireBatch {
+    /// Reshape to `rows × cols` at `precision`, reusing the buffers when
+    /// the batch is already at that precision. Contents are unspecified
+    /// afterwards; a gather overwrites every row.
+    pub fn reshape(&mut self, precision: Precision, rows: usize, cols: usize) {
+        match (precision, &mut *self) {
+            (Precision::F32, WireBatch::F32(m)) => m.resize(rows, cols),
+            (Precision::F16, WireBatch::F16(h)) => h.resize(rows, cols),
+            (Precision::Int8, WireBatch::Int8(q)) => q.resize(rows, cols),
+            (Precision::F32, _) => *self = WireBatch::F32(Matrix::uninit(rows, cols)),
+            (Precision::F16, _) => *self = WireBatch::F16(HalfMatrix::zeros(rows, cols)),
+            (Precision::Int8, _) => *self = WireBatch::Int8(QuantizedMatrix::zeros(rows, cols)),
+        }
+    }
+
+    /// The batch's rows, for layer 0 to read.
+    pub fn view(&self) -> WireRows<'_> {
+        match self {
+            WireBatch::F32(m) => WireRows::F32(m),
+            WireBatch::F16(h) => WireRows::F16(h),
+            WireBatch::Int8(q) => WireRows::Int8(q),
+        }
+    }
+
+    /// `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        let v = self.view();
+        (v.rows(), v.cols())
+    }
+
+    /// Shared raw access to the rows, for a parallel gather in which
+    /// every row has exactly one writer.
+    pub fn row_fill(&mut self) -> RowFill<'_> {
+        let (rows, cols) = self.shape();
+        let dst = match self {
+            WireBatch::F32(m) => FillPtr::F32(m.as_mut_slice().as_mut_ptr()),
+            WireBatch::F16(h) => FillPtr::F16(h.bits.as_mut_ptr()),
+            WireBatch::Int8(q) => FillPtr::Int8(q.data.as_mut_ptr(), q.params.as_mut_ptr()),
+        };
+        RowFill {
+            dst,
+            rows,
+            cols,
+            _batch: std::marker::PhantomData,
+        }
+    }
+}
+
+enum FillPtr {
+    F32(*mut f32),
+    F16(*mut u16),
+    Int8(*mut i8, *mut (f32, f32)),
+}
+
+/// Raw row access to one [`WireBatch`] that threads share during a
+/// gather ([`WireBatch::row_fill`]).
+pub struct RowFill<'a> {
+    dst: FillPtr,
+    rows: usize,
+    cols: usize,
+    _batch: std::marker::PhantomData<&'a mut WireBatch>,
+}
+
+// SAFETY: `dst` points into the buffers of the batch the `RowFill`
+// borrows mutably for its whole life, so nothing else reads, writes,
+// moves or frees them meanwhile; it is written only through `copy_row`,
+// whose contract gives each row one writer at a time. `rows` and `cols`
+// are plain values.
+unsafe impl Send for RowFill<'_> {}
+unsafe impl Sync for RowFill<'_> {}
+
+impl RowFill<'_> {
+    /// Copy row `r` of `src` into row `row` of the batch, as stored:
+    /// f32 values, binary16 bits, or int8 values with their
+    /// `(scale, offset)`. Nothing is decoded.
+    ///
+    /// # Safety
+    /// No other thread may write row `row` of this batch during the
+    /// call.
+    ///
+    /// # Panics
+    /// If `row` is past the batch, `r` past `src`, or `src` has another
+    /// precision or width than the batch.
+    pub unsafe fn copy_row(&self, row: usize, src: WireRows<'_>, r: usize) {
+        assert!(row < self.rows, "row {row} past a {}-row batch", self.rows);
+        assert_eq!(src.cols(), self.cols, "gather source width");
+        let cols = self.cols;
+        // SAFETY (all arms): `row < rows`, so the row lies inside the
+        // buffer `row_fill` took its pointer from, and the caller
+        // guarantees it has no other writer.
+        match (&self.dst, src) {
+            (FillPtr::F32(p), WireRows::F32(m)) => {
+                let dst = std::slice::from_raw_parts_mut(p.add(row * cols), cols);
+                dst.copy_from_slice(m.row(r));
+            }
+            (FillPtr::F16(p), WireRows::F16(h)) => {
+                let dst = std::slice::from_raw_parts_mut(p.add(row * cols), cols);
+                dst.copy_from_slice(h.row(r));
+            }
+            (FillPtr::Int8(p, params), WireRows::Int8(q)) => {
+                let (data, row_params) = q.row(r);
+                let dst = std::slice::from_raw_parts_mut(p.add(row * cols), cols);
+                dst.copy_from_slice(data);
+                *params.add(row) = row_params;
+            }
+            _ => panic!(
+                "gathering {:?} rows into another precision",
+                src.precision()
+            ),
         }
     }
 }
@@ -296,7 +507,64 @@ fn for_row_blocks<T: Send>(out: &mut [T], cols: usize, f: impl Fn(usize, &mut [T
     });
 }
 
+/// A row-major matrix of IEEE 754 binary16 bits: the F16 wire.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct HalfMatrix {
+    bits: Vec<u16>,
+    rows: usize,
+    cols: usize,
+}
+
+impl HalfMatrix {
+    /// `rows × cols` zero bits (+0.0).
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Self {
+            bits: vec![0; rows * cols],
+            rows,
+            cols,
+        }
+    }
+
+    /// Round every element of `x` to binary16 (nearest, ties to even),
+    /// in parallel over row blocks.
+    pub fn from_f32(x: &Matrix) -> Self {
+        let (rows, cols) = x.shape();
+        let mut bits = vec![0u16; rows * cols];
+        for_row_blocks(&mut bits, cols, |first, block| {
+            let src = &x.as_slice()[first * cols..first * cols + block.len()];
+            for (b, &v) in block.iter_mut().zip(src) {
+                *b = f32_to_f16(v);
+            }
+        });
+        Self { bits, rows, cols }
+    }
+
+    /// Row width.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Every row's bits, row-major.
+    pub fn as_slice(&self) -> &[u16] {
+        &self.bits
+    }
+
+    /// The binary16 bits of row `r`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[u16] {
+        &self.bits[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Reshape in place, reusing the allocation; contents unspecified.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.bits.resize(rows * cols, 0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+}
+
 /// An int8-quantized matrix with per-row affine parameters.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct QuantizedMatrix {
     data: Vec<i8>,
     /// Per-row `(scale, offset)`.
@@ -306,6 +574,16 @@ pub struct QuantizedMatrix {
 }
 
 impl QuantizedMatrix {
+    /// `rows × cols` zeros under `(scale, offset) = (0, 0)`.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Self {
+            data: vec![0; rows * cols],
+            params: vec![(0.0, 0.0); rows],
+            rows,
+            cols,
+        }
+    }
+
     /// Per-row affine quantization: `q = round((x - offset) / scale)`,
     /// in parallel over row blocks.
     pub fn quantize_int8(x: &Matrix) -> Self {
@@ -333,24 +611,41 @@ impl QuantizedMatrix {
         }
     }
 
-    /// Dequantize row `r` into `dst` (one row wide): the fused
-    /// gather-dequantize of [`WireFeatures::Int8`].
+    /// Row width.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Every row's int8 values, row-major.
+    pub fn values(&self) -> &[i8] {
+        &self.data
+    }
+
+    /// Every row's `(scale, offset)`.
+    pub fn params(&self) -> &[(f32, f32)] {
+        &self.params
+    }
+
+    /// Row `r`'s int8 values and its `(scale, offset)`.
     #[inline]
-    fn dequantize_row_into(&self, r: usize, dst: &mut [f32]) {
-        let (scale, offset) = self.params[r];
-        let src = &self.data[r * self.cols..(r + 1) * self.cols];
-        for (o, &q) in dst.iter_mut().zip(src) {
-            *o = f32::from(q) * scale + offset;
-        }
+    pub fn row(&self, r: usize) -> (&[i8], (f32, f32)) {
+        (
+            &self.data[r * self.cols..(r + 1) * self.cols],
+            self.params[r],
+        )
+    }
+
+    /// Reshape in place, reusing the allocations; contents unspecified.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0);
+        self.params.resize(rows, (0.0, 0.0));
+        self.rows = rows;
+        self.cols = cols;
     }
 
     /// Reconstruct the f32 matrix.
     pub fn dequantize(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            self.dequantize_row_into(r, out.row_mut(r));
-        }
-        out
+        WireRows::Int8(self).decode()
     }
 
     /// Wire size in bytes (payload + per-row scale/offset).

@@ -316,9 +316,11 @@ proptest! {
     /// interleaving of `balance_work` (random deltas, including explicit
     /// zero moves) and `balance_thread` events at random iterations must
     /// train bitwise-identical weights and losses to serial execution
-    /// for every wire precision {F32, Int8} × prefetch depth
-    /// {1, 2, 3, 4}. This is what licenses the producer to plan the
-    /// moves itself and prepare iterations ahead under them.
+    /// for every wire precision {F32, F16, Int8} × prefetch depth
+    /// {1, 2, 3, 4}. F16 and Int8 batches stay packed until layer 0
+    /// decodes them, each through its own decode path. This is what
+    /// licenses the producer to plan the moves itself and prepare
+    /// iterations ahead under them.
     #[test]
     fn random_drm_schedules_are_bitwise_equivalent(
         raw in prop::collection::vec(
@@ -342,7 +344,7 @@ proptest! {
                 ScriptedDrmEvent { epoch, iter, action }
             })
             .collect();
-        for precision in [Precision::F32, Precision::Int8] {
+        for precision in [Precision::F32, Precision::F16, Precision::Int8] {
             let (serial_params, serial_losses) = run_scheduled(precision, 0, &schedule);
             for depth in [1usize, 2, 3, 4] {
                 let (params, losses) = run_scheduled(precision, depth, &schedule);
