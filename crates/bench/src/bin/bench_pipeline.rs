@@ -162,7 +162,6 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let cfg = config(DEPTH);
-    let numa_domains = cfg.platform.numa_domains();
     let dataset = dataset();
     eprintln!(
         "bench_pipeline: {} @ 1/{} scale, {} epochs ({} warm-up), prefetch depth {DEPTH}, \
@@ -221,7 +220,7 @@ fn main() {
          \"predicted_wall_ring1_s\": {:.6},\n  \"predicted_wall_ring2_s\": {:.6},\n  \
          \"overlap_factor\": {:.4},\n  \
          \"drm_overlap_visible_ratio\": {:.4},\n  \"drm_overlap_quota_delta\": {},\n  \
-         \"numa_domains\": {},\n  \"thread_alloc\": {{\"sampler\": {}, \"loader\": {}, \
+         \"thread_alloc\": {{\"sampler\": {}, \"loader\": {}, \
          \"trainer\": {}}}\n}}\n",
         dataset.spec.name,
         dataset.scale,
@@ -245,7 +244,6 @@ fn main() {
         overlap,
         drm_visible_ratio,
         drm_quota_delta,
-        numa_domains,
         alloc.sampler,
         alloc.loader,
         alloc.trainer,

@@ -106,16 +106,6 @@ impl PlatformConfig {
             pcie: PcieLink::default(),
         }
     }
-
-    /// NUMA domains of the CPU-memory-resident feature matrix: one per
-    /// socket (the paper's dual-socket node keeps `X` interleaved across
-    /// two memory controllers). The Feature Loader's socket-sharded
-    /// gather partitions `X`'s rows into this many contiguous domains
-    /// and pins each domain's copies to that socket's share of the
-    /// loader worker group.
-    pub fn numa_domains(&self) -> usize {
-        self.sockets.max(1)
-    }
 }
 
 /// Optimization toggles — the knobs of the paper's ablation (Fig. 11).

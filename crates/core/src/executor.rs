@@ -276,7 +276,6 @@ impl HybridTrainer {
             accel_features: Arc::clone(&self.accel_features),
             hybrid: self.cfg.opt.hybrid,
             workers: Arc::clone(&self.workers),
-            numa_domains: self.cfg.platform.numa_domains(),
             planner: IterationPlanner::new(
                 &self.cfg,
                 self.dims.clone(),

@@ -16,8 +16,8 @@
 //!   `balance_thread` decisions steer the *real* pipeline.
 //! * [`prefetch`] — Task-level Feature Prefetching as a *real*
 //!   pipeline (paper §IV-B): one background producer thread samples
-//!   (under the sampler pool) and NUMA-shards feature gathers across
-//!   socket domains — accelerator batches straight from the
+//!   (under the sampler pool) and gathers features in one loader
+//!   dispatch — accelerator batches straight from the
 //!   wire-precision feature view — into a queue overlapped with GNN
 //!   propagation. One prefetch credit per live iteration bounds the
 //!   producer; buffers are recycled per trainer role. The producer runs

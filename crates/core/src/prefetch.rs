@@ -94,8 +94,7 @@
 //! at a time, in trainer order, to the sampler pool's threads, so the
 //! CPU trainer's large batch starts first and the others fill in around
 //! it. Loading gathers all trainers' rows as one concatenated range,
-//! split by row count across the loader pool and sharded across the
-//! feature matrix's NUMA row domains. The producer applies each
+//! split by row count across the loader pool. The producer applies each
 //! iteration's planned [`ThreadAlloc`] to the pools before sampling it,
 //! so a `balance_thread` move decided after iteration `k` shows in
 //! exactly iteration `k+1`'s recorded widths at every depth. Widths
@@ -104,7 +103,7 @@
 
 use crate::drm::{IterationPlan, IterationPlanner, ThreadAlloc, WorkloadSplit};
 use crate::stages::StageWorkers;
-use hyscale_graph::features::{gather_jobs_numa_into, GatherJob};
+use hyscale_graph::features::{gather_jobs_into, GatherJob};
 use hyscale_graph::Dataset;
 use hyscale_sampler::{EpochBatcher, MiniBatch, NeighborSampler, SampleScratch};
 use hyscale_tensor::quant::{WireBatch, WireFeatures};
@@ -295,11 +294,6 @@ pub struct PrepareCtx {
     /// them to each iteration's planned [`ThreadAlloc`] before sampling
     /// it.
     pub workers: Arc<StageWorkers>,
-    /// NUMA domains of the CPU feature matrix (one per socket): the
-    /// gather is sharded so each socket's rows are copied by that
-    /// socket's share of the loader pool, weighted by the sampled rows'
-    /// ownership histogram.
-    pub numa_domains: usize,
     /// The timing layer and DRM step run after each iteration's
     /// sampling.
     pub planner: IterationPlanner,
@@ -333,12 +327,11 @@ impl PrepareCtx {
 
     /// Gather each job `(trainer, input nodes, buffer)` into its buffer
     /// in one loader dispatch: all jobs' rows form one range, split by
-    /// row count across the loader pool and sharded across the NUMA row
-    /// domains of `X` with thread shares weighted by the rows' ownership
-    /// histogram. Accelerator trainers read the wire view and the CPU
-    /// trainer (trainer 0, when hybrid) reads host memory, so accelerator
-    /// batches arrive packed at wire precision; layer 0 decodes them to
-    /// bitwise what gathering and then round-tripping would give.
+    /// row count across the loader pool. Accelerator trainers read the
+    /// wire view and the CPU trainer (trainer 0, when hybrid) reads host
+    /// memory, so accelerator batches arrive packed at wire precision;
+    /// layer 0 decodes them to bitwise what gathering and then
+    /// round-tripping would give.
     fn gather_all(&self, jobs: &mut [(usize, &[u32], WireBatch)]) {
         let mut gathers: Vec<GatherJob<'_>> = jobs
             .iter_mut()
@@ -352,10 +345,9 @@ impl PrepareCtx {
                 indices,
             })
             .collect();
-        gather_jobs_numa_into(
+        gather_jobs_into(
             &mut gathers,
             &self.dataset.data.features,
-            self.numa_domains,
             self.workers.loader(),
         );
     }
@@ -809,7 +801,6 @@ mod tests {
             sampler: NeighborSampler::new(vec![4, 3], 17),
             hybrid: true,
             workers: Arc::new(StageWorkers::from_alloc(&alloc)),
-            numa_domains: 2,
             planner: planner(schedule),
         };
         (Arc::new(ctx), order)

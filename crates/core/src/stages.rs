@@ -47,7 +47,7 @@ impl Stage {
 /// mutates a `ThreadAlloc` (its model of the thread budget), and the
 /// prefetch producer [`apply`](Self::apply)s each iteration's planned
 /// allocation here before sampling it, so its dispatches — the
-/// per-trainer sampling dispatch, the socket-sharded feature gather —
+/// per-trainer sampling dispatch, the feature gather over all trainers' rows —
 /// actually run at the budgeted widths. Widths are atomics inside each
 /// group, so the CPU trainer on the consumer thread picks up a re-size
 /// at its next dispatch (results are bitwise-independent of widths).

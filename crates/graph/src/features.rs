@@ -124,45 +124,18 @@ impl Splits {
 /// rows. This is the *Feature Loading* stage kernel (paper Fig. 4 stage 2);
 /// its measured byte volume drives Eq. 7 of the performance model.
 pub fn gather_features(x: &Matrix, indices: &[u32]) -> Matrix {
-    let mut out = Matrix::uninit(indices.len(), x.cols());
-    gather_features_into(&mut out, x, indices);
-    out
-}
-
-/// Allocation-free variant of [`gather_features`]: reshape `out` (reusing
-/// its buffer) and gather `X[indices, :]` into it. With a recycled
-/// matrix pool, steady-state training iterations perform zero
-/// feature-matrix allocations — the prefetching executor's hot path.
-///
-/// Produces bitwise-identical contents to [`gather_features`] for the
-/// same `(x, indices)` regardless of the previous contents of `out`.
-pub fn gather_features_into(out: &mut Matrix, x: &Matrix, indices: &[u32]) {
     let dim = x.cols();
-    out.resize(indices.len(), dim);
+    let mut out = Matrix::uninit(indices.len(), dim);
     out.as_mut_slice()
         .par_chunks_mut(dim)
         .zip(indices.par_iter())
         .for_each(|(dst, &src)| {
             dst.copy_from_slice(x.row(src as usize));
         });
+    out
 }
 
-/// Row-ownership histogram of a gather: how many of `indices` fall in
-/// each of `num_domains` contiguous row domains of `rows_per_domain`
-/// source rows. This is the weight vector the NUMA gather hands to
-/// [`rayon::WorkerGroup::run_sharded_weighted`] so each socket's thread
-/// share matches the rows it actually serves — a cheap `O(n)` count
-/// folded into the loading stage.
-pub fn domain_histogram(indices: &[u32], rows_per_domain: usize, num_domains: usize) -> Vec<usize> {
-    let mut hist = vec![0usize; num_domains];
-    for &src in indices {
-        let d = (src as usize / rows_per_domain).min(num_domains - 1);
-        hist[d] += 1;
-    }
-    hist
-}
-
-/// One output of [`gather_jobs_numa_into`]: rows `indices` of `wire`'s
+/// One output of [`gather_jobs_into`]: rows `indices` of `wire`'s
 /// view of `X`, written into `out` as `wire` stores them.
 pub struct GatherJob<'a> {
     /// Reshaped to `indices.len() × f0` at `wire`'s precision and
@@ -174,7 +147,7 @@ pub struct GatherJob<'a> {
     pub indices: &'a [u32],
 }
 
-/// NUMA-aware gather of several outputs from wire views: each job's
+/// Gather several outputs from wire views in one dispatch: each job's
 /// `out` receives rows `indices` of its `wire` view of `x`, copied as
 /// stored. [`WireFeatures::Host`] copies f32 rows of `x`; an int8 view
 /// copies the packed int8 rows with their per-row `(scale, offset)`, and
@@ -183,31 +156,15 @@ pub struct GatherJob<'a> {
 /// which gives bitwise what gathering from `x` and then running
 /// `Precision::round_trip_in_place` on the result gives.
 ///
-/// All jobs run in one dispatch: their rows are treated as one
-/// concatenated row range, so `group`'s threads split the rows of all
-/// outputs by count instead of taking whole outputs each.
+/// The jobs' rows are treated as one concatenated row range that
+/// `group` splits contiguously by count, so its threads share the rows
+/// of all outputs instead of taking whole outputs each. Every output row
+/// is written exactly once, so the result is the same for any group
+/// width and any grouping of the jobs into calls.
 ///
-/// The source matrix `X` is modeled as range-partitioned across
-/// `num_domains` sockets (contiguous row domains, the dual-socket layout
-/// of the paper's evaluation node), and the gather is dispatched through
-/// `group` so each socket's rows are copied by the worker threads pinned
-/// to that socket — with per-socket thread shares weighted by the
-/// sampled rows' ownership histogram ([`domain_histogram`] +
-/// [`rayon::WorkerGroup::run_sharded_weighted`]), so a batch whose rows
-/// skew heavily to one socket gives that socket's pool the threads
-/// instead of idling the other socket's fair share.
-///
-/// Every owning domain's threads sweep the full row range but copy only
-/// the rows whose *source* vertex lives in their domain (a domain owning
-/// no sampled rows is skipped outright), so each output row is written
-/// exactly once and the result is the same for any `(num_domains, group
-/// width)`, any skew, and any grouping of the jobs into calls.
-pub fn gather_jobs_numa_into(
-    jobs: &mut [GatherJob<'_>],
-    x: &Matrix,
-    num_domains: usize,
-    group: &rayon::WorkerGroup,
-) {
+/// # Panics
+/// If an index lies past the end of `x`.
+pub fn gather_jobs_into(jobs: &mut [GatherJob<'_>], x: &Matrix, group: &rayon::WorkerGroup) {
     let dim = x.cols();
     let views: Vec<_> = jobs.iter().map(|job| job.wire.view(x)).collect();
     // starts[j] is job j's first row in the concatenated range
@@ -221,8 +178,7 @@ pub fn gather_jobs_numa_into(
     starts.push(total);
     let indices: Vec<&[u32]> = jobs.iter().map(|job| job.indices).collect();
     let fills: Vec<_> = jobs.iter_mut().map(|job| job.out.row_fill()).collect();
-    // Copy the rows `s..e` of the concatenated range that `keep` accepts.
-    let copy_rows = |s: usize, e: usize, keep: &dyn Fn(u32) -> bool| {
+    group.run(total, |s, e| {
         let mut j = starts.partition_point(|&start| start <= s) - 1;
         let mut row = s;
         while row < e {
@@ -231,42 +187,14 @@ pub fn gather_jobs_numa_into(
                 .iter()
                 .enumerate()
             {
-                if !keep(src) {
-                    continue; // row owned by another socket's workers
-                }
                 // SAFETY: output row `row - starts[j] + r` of job `j` is
                 // concatenated row `row + r`, which lies in exactly one
-                // dispatched sub-range and, when sharded, is owned by
-                // exactly one domain (its source row's), so it has a
-                // unique writer.
+                // dispatched sub-range, so it has a unique writer.
                 unsafe { fills[j].copy_row(row - starts[j] + r, views[j], src as usize) };
             }
             row = end;
             j += 1;
         }
-    };
-    if num_domains <= 1 {
-        // Flat memory model: one contiguous split at this group's width.
-        group.run(total, |s, e| copy_rows(s, e, &|_| true));
-        return;
-    }
-    // Contiguous range partition of X's rows: socket d owns rows
-    // [d*per, (d+1)*per). The domain is clamped like the histogram, so
-    // an index past the matrix reaches the last socket's `copy_row` and
-    // panics there instead of leaving its output row unwritten.
-    let per = x.rows().div_ceil(num_domains).max(1);
-    let owner = |src: u32| (src as usize / per).min(num_domains - 1);
-    let mut hist = vec![0usize; num_domains];
-    for job_indices in &indices {
-        for (h, n) in hist
-            .iter_mut()
-            .zip(domain_histogram(job_indices, per, num_domains))
-        {
-            *h += n;
-        }
-    }
-    group.run_sharded_weighted(total, &hist, |d, s, e| {
-        copy_rows(s, e, &|src| owner(src) == d)
     });
 }
 
@@ -310,17 +238,16 @@ mod tests {
         }
     }
 
-    /// [`gather_jobs_numa_into`] with a single job.
+    /// [`gather_jobs_into`] with a single job.
     fn gather_one(
         out: &mut WireBatch,
         wire: &WireFeatures,
         x: &Matrix,
         indices: &[u32],
-        num_domains: usize,
         group: &rayon::WorkerGroup,
     ) {
         let mut jobs = [GatherJob { out, wire, indices }];
-        gather_jobs_numa_into(&mut jobs, x, num_domains, group);
+        gather_jobs_into(&mut jobs, x, group);
     }
 
     #[test]
@@ -388,41 +315,19 @@ mod tests {
     }
 
     #[test]
-    fn gather_into_reuses_buffer_and_matches() {
-        let x = randn(64, 12, 4);
-        let mut out = Matrix::full(200, 12, f32::NAN); // stale contents
-        let cap = out.capacity();
-        let idx: Vec<u32> = (0..150).map(|i| (i * 13) % 64).collect();
-        gather_features_into(&mut out, &x, &idx);
-        assert_eq!(
-            out.capacity(),
-            cap,
-            "gather_into must not reallocate within capacity"
-        );
-        let fresh = gather_features(&x, &idx);
-        assert_eq!(
-            out.as_slice(),
-            fresh.as_slice(),
-            "stale buffer leaked into gather"
-        );
-    }
-
-    #[test]
-    fn numa_gather_matches_flat_for_all_domain_counts_and_widths() {
+    fn job_gather_matches_gather_features_at_every_width() {
         let x = randn(97, 9, 11);
         let idx: Vec<u32> = (0..300).map(|i| (i * 31) % 97).collect();
         let reference = gather_features(&x, &idx);
-        for domains in [1usize, 2, 3, 8] {
-            for width in [1usize, 2, 5, 16] {
-                let group = rayon::WorkerGroup::new("loader", width);
-                let mut out = WireBatch::F32(Matrix::full(10, 2, f32::NAN)); // stale shape + contents
-                gather_one(&mut out, &WireFeatures::Host, &x, &idx, domains, &group);
-                assert_eq!(
-                    out,
-                    WireBatch::F32(reference.clone()),
-                    "NUMA gather diverged at {domains} domains, width {width}"
-                );
-            }
+        for width in [1usize, 2, 5, 16] {
+            let group = rayon::WorkerGroup::new("loader", width);
+            let mut out = WireBatch::F32(Matrix::full(10, 2, f32::NAN)); // stale shape + contents
+            gather_one(&mut out, &WireFeatures::Host, &x, &idx, &group);
+            assert_eq!(
+                out,
+                WireBatch::F32(reference.clone()),
+                "gather diverged at width {width}"
+            );
         }
     }
 
@@ -443,35 +348,51 @@ mod tests {
             let wire = WireFeatures::build(p, &x);
             let mut expected = gather_features(&x, &idx);
             p.round_trip_in_place(&mut expected);
-            for domains in [1usize, 2, 3] {
-                for width in [1usize, 4] {
-                    let group = rayon::WorkerGroup::new("loader", width);
-                    // stale shape, contents and precision
-                    let mut out = WireBatch::F32(Matrix::full(5, 2, f32::NAN));
-                    gather_one(&mut out, &wire, &x, &idx, domains, &group);
-                    assert_eq!(out.view().precision(), p, "the batch stays packed");
-                    assert_eq!(
-                        bits(&out.view().decode()),
-                        bits(&expected),
-                        "{p:?} view gather diverged at {domains} domains, width {width}"
-                    );
-                }
+            for width in [1usize, 4] {
+                let group = rayon::WorkerGroup::new("loader", width);
+                // stale shape, contents and precision
+                let mut out = WireBatch::F32(Matrix::full(5, 2, f32::NAN));
+                gather_one(&mut out, &wire, &x, &idx, &group);
+                assert_eq!(out.view().precision(), p, "the batch stays packed");
+                assert_eq!(
+                    bits(&out.view().decode()),
+                    bits(&expected),
+                    "{p:?} view gather diverged at width {width}"
+                );
             }
         }
     }
 
     #[test]
-    #[should_panic]
-    fn numa_gather_rejects_indices_past_the_matrix() {
-        // used to skip such rows silently, leaving stale output behind
+    fn a_row_past_the_matrix_panics_on_the_loader_worker_with_its_message() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let text = |payload: Box<dyn std::any::Any + Send>| match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |msg| msg.to_string()),
+        };
         let x = randn(4, 3, 1);
-        let group = rayon::WorkerGroup::new("loader", 1);
+        // what reading source row 9 raises on the calling thread
+        let expected =
+            text(catch_unwind(|| gather_features(&x, &[9])).expect_err("row 9 is missing"));
+        // 16 rows on 4 real threads: rows 12..16 run on the last spawned
+        // worker, so the panic must cross the join to reach the caller.
+        let _threads = host_threads_override(4);
+        let mut idx: Vec<u32> = (0..16).map(|i| i % 4).collect();
+        idx[14] = 9;
+        let group = rayon::WorkerGroup::new("loader", 4);
         let mut out = WireBatch::default();
-        gather_one(&mut out, &WireFeatures::Host, &x, &[1, 9, 2], 2, &group);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            gather_one(&mut out, &WireFeatures::Host, &x, &idx, &group)
+        }))
+        .expect_err("a row past the matrix must not be skipped");
+        assert_eq!(text(payload), expected);
+        assert_ne!(expected, "a scoped thread panicked");
     }
 
     #[test]
-    fn numa_gather_matches_under_forced_concurrency() {
+    fn gather_matches_under_forced_concurrency() {
         // On a 1-core host every dispatch degrades to the inline path;
         // force 4 real threads so the disjoint-write SAFETY argument is
         // actually exercised concurrently. Sibling tests are
@@ -479,54 +400,10 @@ mod tests {
         let _threads = host_threads_override(4);
         let x = randn(256, 7, 23);
         let idx: Vec<u32> = (0..1200).map(|i| (i * 53) % 256).collect();
-        let reference = gather_features(&x, &idx);
-        for domains in [1usize, 2, 4] {
-            let group = rayon::WorkerGroup::new("loader", 4);
-            let mut out = WireBatch::default();
-            gather_one(&mut out, &WireFeatures::Host, &x, &idx, domains, &group);
-            assert_eq!(
-                out,
-                WireBatch::F32(reference.clone()),
-                "concurrent NUMA gather diverged at {domains} domains"
-            );
-        }
-    }
-
-    #[test]
-    fn domain_histogram_pins_the_skewed_split() {
-        // 97 source rows over 2 domains: per = 49, domain 0 = rows 0..49
-        let skewed: Vec<u32> = (0..300).map(|i| (i * 7) % 49).collect();
-        let hist = domain_histogram(&skewed, 49, 2);
-        assert_eq!(hist, vec![300, 0], "all rows owned by socket 0");
-        // the weighted split hands socket 0 every loader thread
-        assert_eq!(rayon::weighted_shares(8, &hist), vec![8, 0]);
-        // 3:1 skew pins a 3:1 thread share (the ROADMAP skew case)
-        let mixed: Vec<u32> = (0..400)
-            .map(|i| if i % 4 == 0 { 60 } else { i as u32 % 49 })
-            .collect();
-        let hist = domain_histogram(&mixed, 49, 2);
-        assert_eq!(hist, vec![300, 100]);
-        assert_eq!(rayon::weighted_shares(8, &hist), vec![6, 2]);
-    }
-
-    #[test]
-    fn numa_gather_matches_flat_under_heavy_skew() {
-        // Every sampled row lives on socket 0: the weighted dispatch
-        // skips socket 1 entirely and must still be bitwise-identical.
-        let _threads = host_threads_override(4);
-        let x = randn(128, 6, 31);
-        let skewed: Vec<u32> = (0..500).map(|i| (i * 13) % 64).collect(); // rows 0..64
-        let reference = gather_features(&x, &skewed);
-        for domains in [2usize, 4] {
-            let group = rayon::WorkerGroup::new("loader", 4);
-            let mut out = WireBatch::F32(Matrix::full(3, 3, f32::NAN));
-            gather_one(&mut out, &WireFeatures::Host, &x, &skewed, domains, &group);
-            assert_eq!(
-                out,
-                WireBatch::F32(reference.clone()),
-                "skewed NUMA gather diverged at {domains} domains"
-            );
-        }
+        let group = rayon::WorkerGroup::new("loader", 4);
+        let mut out = WireBatch::default();
+        gather_one(&mut out, &WireFeatures::Host, &x, &idx, &group);
+        assert_eq!(out, WireBatch::F32(gather_features(&x, &idx)));
     }
 
     #[test]
@@ -535,7 +412,7 @@ mod tests {
         let _threads = host_threads_override(3);
         let x = randn(90, 5, 41);
         let int8 = WireFeatures::build(Precision::Int8, &x);
-        // uneven jobs, an empty one among them, rows skewed to socket 0
+        // uneven jobs with an empty one among them
         let index_sets: Vec<Vec<u32>> = vec![
             (0..700).map(|i| (i * 17) % 90).collect(),
             Vec::new(),
@@ -556,47 +433,42 @@ mod tests {
             .map(|(idx, wire)| {
                 let mut m = WireBatch::default();
                 let group = rayon::WorkerGroup::new("loader", 1);
-                gather_one(&mut m, wire, &x, idx, 1, &group);
+                gather_one(&mut m, wire, &x, idx, &group);
                 m
             })
             .collect();
-        for domains in [1usize, 2, 3] {
-            for width in [1usize, 2, 3, 8] {
-                let group = rayon::WorkerGroup::new("loader", width);
-                let mut outs: Vec<WireBatch> = (0..5)
-                    .map(|k| WireBatch::F32(Matrix::full(k + 2, 3, f32::NAN)))
-                    .collect();
-                let mut jobs: Vec<GatherJob<'_>> = outs
-                    .iter_mut()
-                    .zip(&index_sets)
-                    .zip(wires)
-                    .map(|((out, indices), wire)| GatherJob { out, wire, indices })
-                    .collect();
-                gather_jobs_numa_into(&mut jobs, &x, domains, &group);
-                for (k, (got, want)) in outs.iter().zip(&expected).enumerate() {
-                    assert_eq!(got.shape(), want.shape(), "job {k}");
-                    let bits = |b: &WireBatch| {
-                        let m = b.view().decode();
-                        m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                    };
-                    assert_eq!(got.view().precision(), want.view().precision(), "job {k}");
-                    assert_eq!(
-                        bits(got),
-                        bits(want),
-                        "job {k} diverged at {domains} domains, width {width}"
-                    );
-                }
+        for width in [1usize, 2, 3, 8] {
+            let group = rayon::WorkerGroup::new("loader", width);
+            let mut outs: Vec<WireBatch> = (0..5)
+                .map(|k| WireBatch::F32(Matrix::full(k + 2, 3, f32::NAN)))
+                .collect();
+            let mut jobs: Vec<GatherJob<'_>> = outs
+                .iter_mut()
+                .zip(&index_sets)
+                .zip(wires)
+                .map(|((out, indices), wire)| GatherJob { out, wire, indices })
+                .collect();
+            gather_jobs_into(&mut jobs, &x, &group);
+            for (k, (got, want)) in outs.iter().zip(&expected).enumerate() {
+                assert_eq!(got.shape(), want.shape(), "job {k}");
+                let bits = |b: &WireBatch| {
+                    let m = b.view().decode();
+                    m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(got.view().precision(), want.view().precision(), "job {k}");
+                assert_eq!(bits(got), bits(want), "job {k} diverged at width {width}");
             }
         }
     }
 
     #[test]
-    fn numa_gather_more_domains_than_rows() {
+    fn gather_more_threads_than_rows() {
+        let _threads = host_threads_override(8);
         let x = randn(3, 4, 5);
         let idx = vec![2, 0, 1, 2];
-        let group = rayon::WorkerGroup::new("loader", 4);
+        let group = rayon::WorkerGroup::new("loader", 8);
         let mut out = WireBatch::default();
-        gather_one(&mut out, &WireFeatures::Host, &x, &idx, 8, &group);
+        gather_one(&mut out, &WireFeatures::Host, &x, &idx, &group);
         assert_eq!(out, WireBatch::F32(gather_features(&x, &idx)));
     }
 

@@ -14,9 +14,8 @@
 //!   learnable community labels so convergence tests train on real signal.
 //! * [`dataset`] — Table III dataset specs with full-scale statistics and
 //!   scaled-down functional materialization.
-//! * [`features`] — CPU-resident feature matrix + label synthesis.
-//! * [`partition`] — hash/range partitioners and edge-cut statistics for
-//!   the multi-node baselines (P3, DistDGLv2).
+//! * [`features`] — CPU-resident feature matrix + label synthesis, and
+//!   the Feature Loader's gather.
 
 #![warn(missing_docs)]
 
@@ -27,10 +26,7 @@ pub mod degree;
 pub mod features;
 pub mod generator;
 pub mod io;
-pub mod partition;
-pub mod reorder;
 pub mod stats;
-pub mod traversal;
 pub mod types;
 
 pub use builder::GraphBuilder;

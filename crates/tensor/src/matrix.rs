@@ -65,9 +65,10 @@ impl Matrix {
     /// area is zero-filled) — callers are expected to overwrite every
     /// element, as the feature-gather hot path does.
     ///
-    /// This is the buffer-pool primitive behind
-    /// `gather_features_into`: steady-state training iterations reshape
-    /// recycled matrices instead of allocating fresh ones.
+    /// This is the buffer-pool primitive behind the loader's gather
+    /// (`hyscale_graph::features::gather_jobs_into`): steady-state
+    /// training iterations reshape recycled matrices instead of
+    /// allocating fresh ones.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.data.resize(rows * cols, 0.0);
         self.rows = rows;

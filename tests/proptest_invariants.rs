@@ -219,21 +219,6 @@ proptest! {
         prop_assert!(Precision::F16.wire_bytes(rows, cols) < Precision::F32.wire_bytes(rows, cols));
     }
 
-    /// Degree-descending relabeling preserves degree multisets for any
-    /// graph.
-    #[test]
-    fn relabeling_preserves_degrees((n, edges) in edge_list(40, 120)) {
-        use hyscale::graph::reorder::Relabeling;
-        let g = CsrGraph::from_edges(n, &edges).unwrap();
-        let r = Relabeling::by_degree_desc(&g);
-        let g2 = r.apply_graph(&g);
-        let mut d1: Vec<usize> = (0..n as u32).map(|v| g.out_degree(v)).collect();
-        let mut d2: Vec<usize> = (0..n as u32).map(|v| g2.out_degree(v)).collect();
-        d1.sort_unstable();
-        d2.sort_unstable();
-        prop_assert_eq!(d1, d2);
-    }
-
     /// Edge-list text serialization round-trips any graph.
     #[test]
     fn edge_list_io_roundtrip((n, edges) in edge_list(32, 100)) {
