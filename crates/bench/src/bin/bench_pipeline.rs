@@ -9,23 +9,20 @@
 //! once with task-level feature prefetching at depth 2 (the producer
 //! gathers batch `i+1` while batch `i` computes). It reports measured
 //! iterations/second and speedup, plus the discrete-event simulator's
-//! predictions from the measured serial stage walls — both the
-//! idealized steady-state bound and the walls with modeled staging
-//! rings of depth 1 and 2. Accelerator batches are
-//! gathered from the int8 feature view built at set-up, so the wire
-//! stage has no host cost to measure. On a single-core container the
-//! measured speedup degenerates to ~1x (there is no second core to
-//! overlap on; `cpus` in the JSON tells you which case you are looking
-//! at), while the predicted numbers remain meaningful.
+//! steady-state prediction from the measured serial stage walls.
+//! Accelerator batches are gathered from the int8 feature view built at
+//! set-up, so the wire stage has no host cost to measure. On a
+//! single-core container the measured speedup degenerates to ~1x
+//! (there is no second core to overlap on; `cpus` in the JSON tells you
+//! which case you are looking at), while the prediction remains
+//! meaningful.
 //!
 //! ```sh
 //! cargo run --release -p hyscale-bench --bin bench_pipeline
 //! ```
 //!
-//! Workload knobs (for experiments; defaults are the tracked config):
-//! `BENCH_SCALE`, `BENCH_HIDDEN`, `BENCH_BATCH`, `BENCH_PRECISION`
-//! (`int8`|`f16`|`f32`). `BENCH_SMOKE=1` shrinks the workload to a
-//! CI-sized smoke run (same JSON schema).
+//! `BENCH_SMOKE=1` shrinks the workload to a CI-sized smoke run (same
+//! JSON schema).
 
 use hyscale_core::config::AcceleratorKind;
 use hyscale_core::drm::{DrmEngine, WorkloadSplit};
@@ -40,9 +37,6 @@ use hyscale_graph::Dataset;
 
 const DEPTH: usize = 2;
 
-/// Depth of the modeled device-side staging rings: double buffering.
-const RING_DEPTH: usize = 2;
-
 fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
 }
@@ -55,15 +49,8 @@ fn epochs() -> usize {
     }
 }
 
-fn env_or(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn dataset() -> Dataset {
-    let scale = env_or("BENCH_SCALE", if smoke() { 400 } else { 50 }) as u64;
+    let scale = if smoke() { 400 } else { 50 };
     let mut dataset = OGBN_PRODUCTS.materialize(scale, 1);
     dataset.splits = Splits::random(dataset.graph.num_vertices(), 0.6, 0.2, 2);
     dataset
@@ -79,15 +66,11 @@ fn config(prefetch_depth: usize) -> SystemConfig {
         drm: false,
         tfp: true,
     };
-    cfg.train.batch_per_trainer = env_or("BENCH_BATCH", if smoke() { 128 } else { 512 });
-    cfg.train.hidden_dim = env_or("BENCH_HIDDEN", 32);
+    cfg.train.batch_per_trainer = if smoke() { 128 } else { 512 };
+    cfg.train.hidden_dim = 32;
     cfg.train.max_functional_iters = Some(if smoke() { 3 } else { 6 });
     cfg.train.prefetch_depth = prefetch_depth;
-    cfg.train.transfer_precision = match std::env::var("BENCH_PRECISION").as_deref() {
-        Ok("f16") => hyscale_tensor::Precision::F16,
-        Ok("f32") => hyscale_tensor::Precision::F32,
-        _ => hyscale_tensor::Precision::Int8,
-    };
+    cfg.train.transfer_precision = hyscale_tensor::Precision::Int8;
     cfg
 }
 
@@ -107,9 +90,9 @@ fn functional_wall(reports: &[EpochReport]) -> f64 {
 /// Overlap-aware DRM scenario: replay one Algorithm 1 decision on the
 /// settled simulated stage times, once with the paper's bundled
 /// `max(T_Tran, T_TA)` estimate and once charging the accelerator task
-/// the visible (un-hidden) transfer share the executor derives from the
-/// configuration (TFP's modeled double-buffered staging hides the wire
-/// behind accelerator compute, leaving only the excess). Returns
+/// the visible (un-hidden) transfer share the planner derives from the
+/// configuration
+/// ([`hyscale_core::stages::StageTimes::visible_transfer`]). Returns
 /// `(visible_ratio, quota_delta)` where `quota_delta` is how many more
 /// seeds the overlap-aware engine parks on the CPU trainer than the
 /// bundled one (positive = the visible wire time biased work away from
@@ -134,11 +117,7 @@ fn drm_overlap_scenario(prefetched: &[EpochReport], cfg: &SystemConfig) -> (f64,
     let mut th1 = ThreadAlloc::default_for(cfg.platform.total_threads);
     engine.adjust(&times, &mut bundled, &mut th1);
 
-    let visible = if cfg.opt.tfp {
-        (times.transfer - times.train_accel).max(0.0)
-    } else {
-        times.transfer
-    };
+    let visible = times.visible_transfer(cfg.opt.tfp);
     let visible_ratio = if times.transfer > 0.0 {
         (visible / times.transfer).clamp(0.0, 1.0)
     } else {
@@ -165,7 +144,7 @@ fn main() {
     let dataset = dataset();
     eprintln!(
         "bench_pipeline: {} @ 1/{} scale, {} epochs ({} warm-up), prefetch depth {DEPTH}, \
-         modeled ring depth {RING_DEPTH}, {cpus} cpu(s){}",
+         {cpus} cpu(s){}",
         dataset.spec.name,
         dataset.scale,
         epochs(),
@@ -186,16 +165,12 @@ fn main() {
 
     // The discrete-event pipeline model on the measured serial stage
     // walls: the steady-state speedup this stage balance supports at
-    // depth `DEPTH` once enough cores exist to actually overlap, plus
-    // the walls with modeled staging rings — depth-1 staging serializes
-    // the transfer with propagation, depth-2 double-buffers it.
+    // depth `DEPTH` once enough cores exist to actually overlap.
     let stage_means = WallStageTimes::mean_of(serial.iter().map(|r| &r.wall_stages));
     let costs = PipelineStageCosts::from_wall(&stage_means);
     let n = iters(&serial).max(2);
-    let serial_sim = simulate_pipeline(&costs, n, 0, 0).makespan;
-    let predicted = serial_sim / simulate_pipeline(&costs, n, DEPTH, 0).makespan;
-    let ring1_wall = simulate_pipeline(&costs, n, DEPTH, 1).makespan;
-    let ring2_wall = simulate_pipeline(&costs, n, DEPTH, 2).makespan;
+    let serial_sim = simulate_pipeline(&costs, n, 0).makespan;
+    let predicted = serial_sim / simulate_pipeline(&costs, n, DEPTH).makespan;
 
     let prefetch_means = WallStageTimes::mean_of(prefetched.iter().map(|r| &r.wall_stages));
     let overlap = prefetch_means.overlap_factor();
@@ -211,13 +186,11 @@ fn main() {
         "{{\n  \"bench\": \"pipeline\",\n  \"dataset\": \"{}\",\n  \"scale\": {},\n  \
          \"cpus\": {},\n  \"smoke\": {},\n  \
          \"epochs_measured\": {},\n  \"iters_measured\": {},\n  \"prefetch_depth\": {},\n  \
-         \"ring_depth\": {},\n  \
          \"serial_iters_per_sec\": {:.4},\n  \"prefetch_iters_per_sec\": {:.4},\n  \
          \"serial_iter_wall_s\": {:.6},\n  \"prefetch_iter_wall_s\": {:.6},\n  \
          \"serial_stage_walls_s\": {{\"sample\": {:.6}, \"load\": {:.6}, \
          \"train\": {:.6}}},\n  \
          \"speedup_vs_serial\": {:.4},\n  \"predicted_speedup\": {:.4},\n  \
-         \"predicted_wall_ring1_s\": {:.6},\n  \"predicted_wall_ring2_s\": {:.6},\n  \
          \"overlap_factor\": {:.4},\n  \
          \"drm_overlap_visible_ratio\": {:.4},\n  \"drm_overlap_quota_delta\": {},\n  \
          \"thread_alloc\": {{\"sampler\": {}, \"loader\": {}, \
@@ -229,7 +202,6 @@ fn main() {
         serial.len(),
         iters(&serial),
         DEPTH,
-        RING_DEPTH,
         serial_ips,
         prefetch_ips,
         serial_wall / serial_iters,
@@ -239,8 +211,6 @@ fn main() {
         stage_means.train_s,
         speedup,
         predicted,
-        ring1_wall,
-        ring2_wall,
         overlap,
         drm_visible_ratio,
         drm_quota_delta,
@@ -252,10 +222,7 @@ fn main() {
     print!("{json}");
     eprintln!(
         "measured {speedup:.2}x vs serial on {cpus} cpu(s); stage balance supports \
-         {predicted:.2}x at depth {DEPTH}; ring 1 -> 2 epoch wall {:.1} -> {:.1} ms \
-         (predicted); overlap-aware DRM quota delta {drm_quota_delta}; wrote \
-         BENCH_pipeline.json",
-        ring1_wall * 1e3,
-        ring2_wall * 1e3,
+         {predicted:.2}x at depth {DEPTH}; overlap-aware DRM quota delta \
+         {drm_quota_delta}; wrote BENCH_pipeline.json",
     );
 }

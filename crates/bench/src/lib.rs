@@ -1,7 +1,8 @@
 //! Benchmark harness utilities shared by the table/figure binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §5 for the index). The heavy lifting here is
+//! paper; the binary's name says which (`fig08_perf_model` is Fig. 8,
+//! `tab02_platforms` is Table II). The heavy lifting here is
 //! [`simulate_epoch`]: a timing-only run of the HyScale-GNN system —
 //! design-time mapping from the performance model, then the DRM loop
 //! over runtime-fidelity stage times until the mapping settles, exactly

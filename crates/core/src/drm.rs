@@ -271,22 +271,19 @@ pub enum ScriptedDrm {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DrmEngine {
-    /// Fraction of the total batch moved per `balance_work` call.
-    pub work_step: f64,
-    /// Sampling-share step per `balance_sampling` call.
-    pub sampling_step: f64,
     /// Hybrid training enabled (a CPU trainer exists to receive work).
     pub hybrid: bool,
 }
 
+/// Fraction of the total batch moved per `balance_work` call.
+const WORK_STEP: f64 = 0.05;
+/// Sampling-share step per `balance_sampling` call.
+const SAMPLING_STEP: f64 = 0.1;
+
 impl DrmEngine {
-    /// Engine with the default 5 % work step.
+    /// Engine with a 5 % work step.
     pub fn new(hybrid: bool) -> Self {
-        Self {
-            work_step: 0.05,
-            sampling_step: 0.1,
-            hybrid,
-        }
+        Self { hybrid }
     }
 
     /// One Algorithm 1 decision: inspect `times`, mutate `split` /
@@ -302,12 +299,7 @@ impl DrmEngine {
         split: &mut WorkloadSplit,
         threads: &mut ThreadAlloc,
     ) -> DrmAction {
-        self.adjust_with_visible(
-            times,
-            (times.transfer - times.train_accel).max(0.0),
-            split,
-            threads,
-        )
+        self.adjust_with_visible(times, times.visible_transfer(true), split, threads)
     }
 
     /// Overlap-aware Algorithm 1 decision: like [`adjust`](Self::adjust)
@@ -316,7 +308,8 @@ impl DrmEngine {
     /// instead of `max(T_Tran, T_TA)`. `visible_transfer` is the
     /// un-hidden share of the wire time — full `T_Tran` without TFP
     /// (nothing can hide), `(T_Tran - T_TA)⁺` under TFP's modeled
-    /// double-buffered staging (reproducing `adjust` exactly). The
+    /// double-buffered staging (reproducing `adjust` exactly); see
+    /// [`StageTimes::visible_transfer`]. The
     /// [`IterationPlanner`] passes one of these two simulated shares,
     /// never a measured wall. A bandwidth-bound lane (no TFP, fat
     /// batches) thus inflates the accelerator task and biases
@@ -361,7 +354,7 @@ impl DrmEngine {
         };
         let total = split.total;
         let step = move |other: f64| {
-            ((total as f64 * self.work_step * gap_factor(other)).round() as usize).max(1)
+            ((total as f64 * WORK_STEP * gap_factor(other)).round() as usize).max(1)
         };
 
         match bottleneck.0 {
@@ -372,7 +365,7 @@ impl DrmEngine {
                 if f < 0.05 {
                     return DrmAction::None;
                 }
-                let delta = (self.sampling_step * f).min(split.sampling_on_accel);
+                let delta = (SAMPLING_STEP * f).min(split.sampling_on_accel);
                 split.sampling_on_accel -= delta;
                 DrmAction::BalanceSampling { to_accel: -delta }
             }
@@ -405,7 +398,7 @@ impl DrmEngine {
                     || gap_factor(times.sample_accel) >= 0.3;
                 if accel_sampler_fast && split.sampling_on_accel < 1.0 {
                     let f = gap_factor(times.sample_accel);
-                    let delta = (self.sampling_step * f).min(1.0 - split.sampling_on_accel);
+                    let delta = (SAMPLING_STEP * f).min(1.0 - split.sampling_on_accel);
                     split.sampling_on_accel += delta;
                     DrmAction::BalanceSampling { to_accel: delta }
                 } else {
@@ -413,7 +406,7 @@ impl DrmEngine {
                         // no donor threads left: fall back to offloading
                         // sampling if the accelerators can sample at all
                         DrmAction::None if split.sampling_on_accel < 1.0 => {
-                            let delta = self.sampling_step.min(1.0 - split.sampling_on_accel);
+                            let delta = SAMPLING_STEP.min(1.0 - split.sampling_on_accel);
                             split.sampling_on_accel += delta;
                             DrmAction::BalanceSampling { to_accel: delta }
                         }
@@ -581,15 +574,8 @@ impl IterationPlanner {
 
         // Overlap-aware accelerator estimate: the wire time left visible
         // on the accelerator's critical path, derived from the simulated
-        // times and the configured overlap alone. Without TFP nothing is
-        // hidden; with TFP the modeled double-buffered staging hides the
-        // wire behind accelerator compute, leaving only the excess —
-        // Algorithm 1's max(T_Tran, T_TA) bundle.
-        let visible_transfer = if self.opt.tfp {
-            (times.transfer - times.train_accel).max(0.0)
-        } else {
-            times.transfer
-        };
+        // times and the configured overlap alone.
+        let visible_transfer = times.visible_transfer(self.opt.tfp);
         let mut split = split.clone();
         let mut threads = *threads;
         let drm_action = if self.opt.drm {

@@ -24,7 +24,7 @@
 //!   the DRM step itself right after sampling, so it prepares every
 //!   iteration under the mapping the consumer will train it with,
 //!   bitwise-identical to serial execution. Device-side staging stays a
-//!   model in [`pipeline`].
+//!   model: Algorithm 1's `max(T_Tran, T_TA)` bundle in [`stages`].
 //! * [`executor`] — the hybrid trainer: 4-stage pipeline (Sampling →
 //!   Feature Loading → Data Transfer → GNN Propagation) with Two-stage
 //!   Feature Prefetching (paper §IV-B), functional training plus

@@ -82,8 +82,13 @@ pub fn compute_stage_times(
 
     // --- Data Transfer (T_Tran, Eq. 8): per-accelerator links run in
     // parallel; the stage time is the slowest single link ---
-    let transfer = per_lane_transfer_times(platform, inputs)
-        .into_iter()
+    let transfer = inputs
+        .accel_stats
+        .iter()
+        .map(|s| {
+            let bytes = inputs.precision.wire_bytes(s.input_nodes, f0) + s.total_edges() * 8;
+            platform.pcie.transfer_time(bytes)
+        })
         .fold(0.0f64, f64::max);
 
     // --- GNN Propagation (Eq. 9–12) ---
@@ -132,23 +137,6 @@ pub fn compute_stage_times(
         train_accel,
         sync,
     }
-}
-
-/// Per-accelerator wire-transfer times for one iteration (Eq. 8, one
-/// entry per attached link). Eq. 8's stage time is the max over these
-/// — valid only when the links actually run in parallel; a single
-/// transfer thread serving every link round-robin pays the *sum*
-/// instead.
-pub fn per_lane_transfer_times(platform: &PlatformConfig, inputs: &StageInputs<'_>) -> Vec<f64> {
-    let f0 = inputs.dims[0];
-    inputs
-        .accel_stats
-        .iter()
-        .map(|s| {
-            let bytes = inputs.precision.wire_bytes(s.input_nodes, f0) + s.total_edges() * 8;
-            platform.pcie.transfer_time(bytes)
-        })
-        .collect()
 }
 
 /// The design-time performance model.
@@ -374,6 +362,7 @@ mod tests {
     use crate::config::AcceleratorKind;
     use hyscale_gnn::GnnKind;
     use hyscale_graph::dataset::{MAG240M_HOMO, OGBN_PAPERS100M, OGBN_PRODUCTS};
+    use hyscale_tensor::Precision;
 
     fn fpga_cfg(model: GnnKind) -> SystemConfig {
         SystemConfig::paper_default(AcceleratorKind::u250(), model)
@@ -513,6 +502,53 @@ mod tests {
         let s16 = s[4].1;
         assert!(s16 > 4.0, "16-accel speedup too low: {s16}");
         assert!(s16 < 15.0, "16-accel speedup implausibly linear: {s16}");
+    }
+
+    #[test]
+    fn transfer_is_the_slowest_single_link() {
+        // Eq. 8: the per-accelerator links run in parallel, so the stage
+        // pays the max over links, not their sum.
+        let platform = fpga_cfg(GnnKind::Gcn).platform;
+        let threads = ThreadAlloc::default_for(platform.total_threads);
+        let batch = |input_nodes| WorkloadStats {
+            batch_size: 512,
+            input_nodes,
+            nodes_per_layer: vec![20_000, 512],
+            edges_per_layer: vec![200_000, 5_120],
+        };
+        let accel_stats = [batch(60_000), batch(90_000)];
+        let (small, big) = (&accel_stats[0], &accel_stats[1]);
+        let dims = [128, 64, 47];
+        let f0 = dims[0];
+        for precision in [Precision::Int8, Precision::F32] {
+            let t = compute_stage_times(
+                &platform,
+                &threads,
+                &StageInputs {
+                    cpu_stats: &WorkloadStats::zero(2),
+                    accel_stats: &accel_stats,
+                    dims: &dims,
+                    width_factor: 1,
+                    model_bytes: 0,
+                    sampling_on_accel: 0.0,
+                    precision,
+                },
+                false,
+            );
+            let link = |s: &WorkloadStats| {
+                platform
+                    .pcie
+                    .transfer_time(precision.wire_bytes(s.input_nodes, f0) + 8 * s.total_edges())
+            };
+            assert_eq!(t.transfer, link(big), "{precision:?}");
+            assert!(t.transfer < link(big) + link(small), "{precision:?}");
+        }
+        // the int8 wire carries each row's (scale, offset) on top of the
+        // one-byte payload
+        assert_eq!(
+            Precision::Int8.wire_bytes(big.input_nodes, f0),
+            (big.input_nodes * f0 + 8 * big.input_nodes) as u64
+        );
     }
 
     #[test]

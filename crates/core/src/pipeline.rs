@@ -79,29 +79,18 @@ pub struct PipelineRun {
     pub steady_gap: f64,
 }
 
-/// Index of the Data Transfer stage in [`PipelineStageCosts::as_array`].
-const TRANSFER_STAGE: usize = 2;
-
 /// Simulate `iterations` identical iterations through the 4-stage
 /// pipeline with a prefetch look-ahead of `depth` batches per stage
 /// (`depth = 0` serializes everything — the no-TFP configuration;
 /// `depth = 1` is classic double buffering; the paper's two-stage scheme
-/// is `depth ≥ 2`), and per-accelerator staging rings of `ring_depth`
-/// slots between the transfer and propagation stages: the wire transfer
-/// of iteration `i` may not start before the propagation of iteration
-/// `i - ring_depth` has completed (its staging slot is still occupied).
-/// `ring_depth = 1` is a single staging buffer — transfer and
-/// propagation serialize; `ring_depth = 2` is the double-buffered
-/// arrangement where transfer of batch `i+1` hides behind compute of
-/// batch `i`; `ring_depth = 0` means unbounded staging (no slot gate).
-/// Staging is modeled here, not run: the executor gathers accelerator
-/// batches at wire precision and has no transfer stage to gate.
-#[allow(clippy::needless_range_loop)] // gates read finished[i - k]
+/// is `depth ≥ 2`). Device-side staging is not simulated here:
+/// Algorithm 1 bundles transfer with accelerator training,
+/// `T_Accel = max(T_Tran, T_TA)` ([`StageTimes::accel`]).
+#[allow(clippy::needless_range_loop)] // the serial branch fills finished[i] by index
 pub fn simulate_pipeline(
     costs: &PipelineStageCosts,
     iterations: usize,
     depth: usize,
-    ring_depth: usize,
 ) -> PipelineRun {
     assert!(iterations > 0, "need at least one iteration");
     let stage_costs = costs.as_array();
@@ -133,13 +122,7 @@ pub fn simulate_pipeline(
             };
             let mut batch_ready = gate;
             for (s, &cost) in stage_costs.iter().enumerate() {
-                let mut start = batch_ready.max(stage_free[s]);
-                if s == TRANSFER_STAGE && ring_depth > 0 && i >= ring_depth {
-                    // staging-slot gate: the ring slot this transfer
-                    // needs is released when iteration i - ring_depth
-                    // finishes its propagation
-                    start = start.max(finished[i - ring_depth]);
-                }
+                let start = batch_ready.max(stage_free[s]);
                 let end = start + cost;
                 stage_free[s] = end;
                 batch_ready = end;
@@ -178,7 +161,7 @@ mod tests {
     fn steady_state_equals_bottleneck() {
         // The analytic Eq. 6 claim, verified by event simulation.
         let c = costs(1.0, 2.0, 5.0, 3.0);
-        let run = simulate_pipeline(&c, 50, 2, 0);
+        let run = simulate_pipeline(&c, 50, 2);
         assert!(
             (run.steady_gap - c.bottleneck()).abs() < 1e-9,
             "steady gap {} vs bottleneck {}",
@@ -190,7 +173,7 @@ mod tests {
     #[test]
     fn serial_mode_sums_stages() {
         let c = costs(1.0, 2.0, 3.0, 4.0);
-        let run = simulate_pipeline(&c, 10, 0, 0);
+        let run = simulate_pipeline(&c, 10, 0);
         assert!((run.steady_gap - c.serial()).abs() < 1e-9);
         assert!((run.makespan - 10.0 * c.serial()).abs() < 1e-9);
     }
@@ -199,7 +182,7 @@ mod tests {
     fn fill_overhead_is_bounded_by_pipeline_depth() {
         let c = costs(1.0, 1.0, 1.0, 1.0);
         let n = 100;
-        let run = simulate_pipeline(&c, n, 3, 0);
+        let run = simulate_pipeline(&c, n, 3);
         // steady state: 1s per iteration; fill adds the first batch's
         // full traversal (4s) minus one steady gap
         let ideal = n as f64 * c.bottleneck();
@@ -214,9 +197,9 @@ mod tests {
     #[test]
     fn deeper_prefetch_never_hurts() {
         let c = costs(2.0, 1.0, 4.0, 3.0);
-        let d1 = simulate_pipeline(&c, 30, 1, 0).makespan;
-        let d2 = simulate_pipeline(&c, 30, 2, 0).makespan;
-        let d4 = simulate_pipeline(&c, 30, 4, 0).makespan;
+        let d1 = simulate_pipeline(&c, 30, 1).makespan;
+        let d2 = simulate_pipeline(&c, 30, 2).makespan;
+        let d4 = simulate_pipeline(&c, 30, 4).makespan;
         assert!(d2 <= d1 + 1e-9);
         assert!(d4 <= d2 + 1e-9);
     }
@@ -224,8 +207,8 @@ mod tests {
     #[test]
     fn pipelined_beats_serial() {
         let c = costs(1.0, 1.5, 2.0, 2.5);
-        let serial = simulate_pipeline(&c, 20, 0, 0).makespan;
-        let piped = simulate_pipeline(&c, 20, 2, 0).makespan;
+        let serial = simulate_pipeline(&c, 20, 0).makespan;
+        let piped = simulate_pipeline(&c, 20, 2).makespan;
         assert!(
             piped < serial * 0.5,
             "pipelining too weak: {piped} vs {serial}"
@@ -235,7 +218,7 @@ mod tests {
     #[test]
     fn completions_monotone() {
         let c = costs(0.5, 2.0, 1.0, 0.25);
-        let run = simulate_pipeline(&c, 25, 2, 0);
+        let run = simulate_pipeline(&c, 25, 2);
         assert!(run.completions.windows(2).all(|w| w[1] > w[0]));
         assert_eq!(run.completions.len(), 25);
     }
@@ -279,59 +262,7 @@ mod tests {
     #[test]
     fn single_iteration() {
         let c = costs(1.0, 1.0, 1.0, 1.0);
-        let run = simulate_pipeline(&c, 1, 2, 0);
+        let run = simulate_pipeline(&c, 1, 2);
         assert!((run.makespan - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn single_staging_buffer_serializes_transfer_with_propagation() {
-        // transfer 2s, propagate 3s: with one slot the steady cadence is
-        // their sum; the pipeline can't hide the wire time at all.
-        let c = costs(0.1, 0.1, 2.0, 3.0);
-        let run = simulate_pipeline(&c, 40, 4, 1);
-        assert!(
-            (run.steady_gap - 5.0).abs() < 1e-9,
-            "ring-1 steady gap {} should be transfer + propagate",
-            run.steady_gap
-        );
-    }
-
-    #[test]
-    fn double_buffer_hides_transfer_when_compute_dominates() {
-        let c = costs(0.1, 0.1, 2.0, 3.0);
-        let ring2 = simulate_pipeline(&c, 40, 4, 2);
-        // double buffering recovers the idealized bottleneck bound
-        assert!(
-            (ring2.steady_gap - c.bottleneck()).abs() < 1e-9,
-            "ring-2 steady gap {} vs bottleneck {}",
-            ring2.steady_gap,
-            c.bottleneck()
-        );
-        let ring1 = simulate_pipeline(&c, 40, 4, 1);
-        assert!(
-            ring2.makespan < ring1.makespan,
-            "deeper ring must hide transfer time: {} vs {}",
-            ring2.makespan,
-            ring1.makespan
-        );
-    }
-
-    #[test]
-    fn ring_deeper_than_the_window_is_unbounded() {
-        // a ring at least as deep as the prefetch window changes nothing
-        let c = costs(1.0, 2.0, 5.0, 3.0);
-        let unbounded = simulate_pipeline(&c, 30, 2, 0);
-        let deep = simulate_pipeline(&c, 30, 2, 30);
-        assert_eq!(unbounded.completions, deep.completions);
-    }
-
-    #[test]
-    fn ring_depth_monotone() {
-        let c = costs(0.5, 0.5, 3.0, 2.0);
-        let m1 = simulate_pipeline(&c, 25, 3, 1).makespan;
-        let m2 = simulate_pipeline(&c, 25, 3, 2).makespan;
-        let m3 = simulate_pipeline(&c, 25, 3, 3).makespan;
-        assert!(m2 <= m1 + 1e-9);
-        assert!(m3 <= m2 + 1e-9);
     }
 }

@@ -33,8 +33,8 @@
 //! however fast the producer runs. At `d = 2` the producer gathers batch
 //! `i+1` while batch `i` computes; at `d = 1` it waits for batch `i`'s
 //! propagation first. Device-side staging buffers are a hardware effect
-//! and stay a *model* (`hyscale_device::stage::StagingModel`,
-//! [`crate::pipeline::simulate_pipeline`]'s `ring_depth`).
+//! and stay a *model*: Algorithm 1's `max(T_Tran, T_TA)` bundle
+//! ([`crate::stages::StageTimes::accel`]).
 //!
 //! ## The producer plans the DRM
 //!

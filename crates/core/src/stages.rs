@@ -149,9 +149,21 @@ impl StageTimes {
     /// highly correlated). This is the paper's *perfect-overlap*
     /// assumption — equivalent to
     /// [`accel_with_visible`](Self::accel_with_visible) with the
-    /// double-buffered visible share `(T_Tran - T_TA)⁺`.
+    /// double-buffered [`visible_transfer`](Self::visible_transfer).
     pub fn accel(&self) -> f64 {
         self.transfer.max(self.train_accel)
+    }
+
+    /// The share of the wire time left on the accelerator's critical
+    /// path: `(T_Tran - T_TA)⁺` under TFP, whose modeled double-buffered
+    /// staging hides the wire behind accelerator compute (Algorithm 1's
+    /// bundle), and the full `T_Tran` without TFP, where nothing hides.
+    pub fn visible_transfer(&self, tfp: bool) -> f64 {
+        if tfp {
+            (self.transfer - self.train_accel).max(0.0)
+        } else {
+            self.transfer
+        }
     }
 
     /// Overlap-aware accelerator time: propagation plus the *visible*
@@ -234,24 +246,20 @@ mod tests {
 
     #[test]
     fn accel_with_visible_generalizes_the_bundle() {
-        let x = t(); // transfer 4, train_accel 6
-                     // the perfect-overlap share reproduces the bundled max
-        assert_eq!(
-            x.accel_with_visible((x.transfer - x.train_accel).max(0.0)),
-            x.accel()
-        );
+        let x = t(); // transfer 4 hides behind train_accel 6
+        assert_eq!(x.visible_transfer(true), 0.0);
+        assert_eq!(x.visible_transfer(false), 4.0);
+        // the perfect-overlap share reproduces the bundled max
+        assert_eq!(x.accel_with_visible(x.visible_transfer(true)), x.accel());
         // a fully-visible wire (no overlap) adds the whole transfer
-        assert_eq!(x.accel_with_visible(x.transfer), 10.0);
-        // a fully-hidden wire leaves only propagation
-        assert_eq!(x.accel_with_visible(0.0), 6.0);
+        assert_eq!(x.accel_with_visible(x.visible_transfer(false)), 10.0);
         // negative "visible" (measurement jitter) clamps to zero
         assert_eq!(x.accel_with_visible(-1.0), 6.0);
         let mut y = t();
-        y.transfer = 9.0; // transfer-bound lane
-        assert_eq!(
-            y.accel_with_visible((y.transfer - y.train_accel).max(0.0)),
-            y.accel()
-        );
+        y.transfer = 9.0; // transfer-bound lane: 3 s stick out under TFP
+        assert_eq!(y.visible_transfer(true), 3.0);
+        assert_eq!(y.visible_transfer(false), 9.0);
+        assert_eq!(y.accel_with_visible(y.visible_transfer(true)), y.accel());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Calibration constants not specified in the paper.
 //!
 //! Every simulator constant that the paper does not give is defined here,
-//! once, with its justification (DESIGN.md §7). Experiments never tune
+//! once, with its justification in its doc comment. Experiments never tune
 //! these per-row; they are global properties of the simulated platform.
 
 /// Effective PCIe bandwidth in GB/s for *pinned* burst transfers (paper

@@ -15,10 +15,12 @@
 //!   loading) whose thread counts the DRM engine tunes.
 //!
 //! [`spec`] carries the Table II device specifications; [`pcie`] models
-//! effective-bandwidth links (Eq. 8, 13); [`memory`] checks placement
+//! effective-bandwidth links (Eq. 8, 13) — device-side staging buffers
+//! are not modeled per link, the core crate's Algorithm 1 bundle
+//! `max(T_Tran, T_TA)` stands for them; [`memory`] checks placement
 //! feasibility (the paper's motivation: large graphs do not fit device
 //! memory); [`calib`] centralizes every constant that is not in the
-//! paper (documented in DESIGN.md §7).
+//! paper, each justified in its own doc comment.
 
 #![warn(missing_docs)]
 
@@ -30,7 +32,6 @@ pub mod spec;
 pub mod stage;
 pub mod timing;
 
-pub use pcie::{LinkOccupancy, PcieLink, TransferWindow};
+pub use pcie::PcieLink;
 pub use spec::{DeviceKind, DeviceSpec, ALVEO_U250, EPYC_7763, RTX_A5000};
-pub use stage::StagingModel;
 pub use timing::{CpuTiming, FpgaTiming, GpuTiming, TrainerTiming};

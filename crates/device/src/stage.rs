@@ -7,7 +7,6 @@
 //! paper Fig. 9.
 
 use crate::calib;
-use crate::pcie::{LinkOccupancy, PcieLink};
 use crate::spec::DeviceSpec;
 use hyscale_sampler::WorkloadStats;
 
@@ -46,88 +45,6 @@ impl LoaderModel {
     pub fn saturation_threads(&self) -> usize {
         let cap = self.cpu.mem_bandwidth_gbs * self.sockets as f64 * calib::CPU_GATHER_BW_FRACTION;
         (cap / calib::GATHER_PER_THREAD_GBS).ceil() as usize
-    }
-}
-
-/// Double-buffered transfer model for one accelerator: a staging ring
-/// of `ring_depth` device-side buffers sits between the PCIe link and
-/// the trainer kernel, so the wire transfer of batch `i+1` may overlap
-/// the accelerator compute of batch `i` — but only while a staging slot
-/// is free (a slot is held from the start of a batch's transfer until
-/// its propagation completes).
-///
-/// `ring_depth = 1` is a single staging buffer (transfer and compute
-/// serialize); `ring_depth = 2` is classic double buffering (HitGNN's
-/// CPU–multi-FPGA arrangement); deeper rings only help when transfer
-/// time fluctuates.
-///
-/// ```
-/// use hyscale_device::pcie::PcieLink;
-/// use hyscale_device::stage::StagingModel;
-///
-/// let link = PcieLink::new(10.0, 0.0);          // 0.1 s per 1 GB batch
-/// let single = StagingModel::new(link, 1);
-/// let double = StagingModel::new(link, 2);
-/// // compute takes 0.3 s per batch, so a double buffer hides the wire
-/// // time entirely while a single buffer pays it on every iteration
-/// assert!((single.visible_transfer_time(1_000_000_000, 0.3) - 0.1).abs() < 1e-9);
-/// assert!(double.visible_transfer_time(1_000_000_000, 0.3) < 1e-9);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct StagingModel {
-    /// The accelerator's PCIe link.
-    pub link: PcieLink,
-    /// Staging-ring slots per accelerator (clamped ≥ 1).
-    pub ring_depth: usize,
-}
-
-/// Iterations simulated to reach (and average) the steady state.
-const STAGING_WARMUP_ITERS: usize = 48;
-const STAGING_MEASURE_ITERS: usize = 16;
-
-impl StagingModel {
-    /// A staging ring of `ring_depth` slots in front of `link`.
-    pub fn new(link: PcieLink, ring_depth: usize) -> Self {
-        Self {
-            link,
-            ring_depth: ring_depth.max(1),
-        }
-    }
-
-    /// Steady-state per-iteration latency when every iteration moves
-    /// `bytes` over the link and then computes for `compute_s`:
-    /// event-simulates the (link occupancy, ring slots, compute) chain
-    /// and returns the settled inter-completion gap.
-    pub fn steady_iteration_time(&self, bytes: u64, compute_s: f64) -> f64 {
-        let iters = STAGING_WARMUP_ITERS + STAGING_MEASURE_ITERS;
-        let mut occ = LinkOccupancy::new(self.link);
-        let mut compute_done = vec![0.0f64; iters];
-        for i in 0..iters {
-            // the transfer needs a free staging slot: the one released
-            // when batch `i - ring_depth` finished its propagation
-            let slot_free = if i >= self.ring_depth {
-                compute_done[i - self.ring_depth]
-            } else {
-                0.0
-            };
-            let window = occ.schedule(slot_free, bytes);
-            let prev_compute = if i > 0 { compute_done[i - 1] } else { 0.0 };
-            compute_done[i] = window.end_s.max(prev_compute) + compute_s;
-        }
-        (compute_done[iters - 1] - compute_done[iters - 1 - STAGING_MEASURE_ITERS])
-            / STAGING_MEASURE_ITERS as f64
-    }
-
-    /// Wire time that shows up on the critical path per iteration (the
-    /// stall the trainer actually sees). Zero when the ring fully hides
-    /// the transfer behind compute.
-    pub fn visible_transfer_time(&self, bytes: u64, compute_s: f64) -> f64 {
-        (self.steady_iteration_time(bytes, compute_s) - compute_s).max(0.0)
-    }
-
-    /// Wire time hidden behind accelerator compute per iteration.
-    pub fn hidden_transfer_time(&self, bytes: u64, compute_s: f64) -> f64 {
-        (self.link.transfer_time(bytes) - self.visible_transfer_time(bytes, compute_s)).max(0.0)
     }
 }
 
@@ -205,47 +122,6 @@ mod tests {
         let bytes = w.feature_bytes(128) as f64;
         let bw = 205e9 * 2.0 * calib::CPU_GATHER_BW_FRACTION;
         assert!((t - bytes / bw).abs() / t < 1e-9);
-    }
-
-    #[test]
-    fn single_buffer_pays_full_wire_time() {
-        let m = StagingModel::new(PcieLink::new(10.0, 0.0), 1);
-        let bytes = 1_000_000_000; // 0.1 s on the wire
-                                   // with one slot, transfer i+1 cannot start until compute i ends
-        let visible = m.visible_transfer_time(bytes, 0.25);
-        assert!((visible - 0.1).abs() < 1e-9, "visible {visible}");
-        assert!((m.steady_iteration_time(bytes, 0.25) - 0.35).abs() < 1e-9);
-    }
-
-    #[test]
-    fn double_buffer_hides_transfer_behind_compute() {
-        let m = StagingModel::new(PcieLink::new(10.0, 0.0), 2);
-        let bytes = 1_000_000_000; // 0.1 s on the wire, compute 0.25 s
-        assert!(m.visible_transfer_time(bytes, 0.25) < 1e-9);
-        assert!((m.hidden_transfer_time(bytes, 0.25) - 0.1).abs() < 1e-9);
-        // bandwidth-bound regime: compute 0.04 s < wire 0.1 s — the link
-        // becomes the bottleneck and the residual stall is wire - compute
-        let visible = m.visible_transfer_time(bytes, 0.04);
-        assert!((visible - 0.06).abs() < 1e-9, "visible {visible}");
-        assert!((m.steady_iteration_time(bytes, 0.04) - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn deeper_rings_never_hurt() {
-        let bytes = 500_000_000;
-        let compute = 0.03;
-        let link = PcieLink::new(12.0, 1e-5);
-        let t1 = StagingModel::new(link, 1).steady_iteration_time(bytes, compute);
-        let t2 = StagingModel::new(link, 2).steady_iteration_time(bytes, compute);
-        let t4 = StagingModel::new(link, 4).steady_iteration_time(bytes, compute);
-        assert!(t2 <= t1 + 1e-12);
-        assert!(t4 <= t2 + 1e-12);
-        // ring depth is clamped to ≥ 1
-        assert_eq!(
-            StagingModel::new(link, 0).ring_depth,
-            1,
-            "zero-depth ring must clamp"
-        );
     }
 
     #[test]

@@ -98,21 +98,6 @@ pub trait TrainerTiming: Send + Sync {
     fn sampling_eps(&self) -> Option<f64> {
         None
     }
-
-    /// End-to-end compute time the device holds a staging-ring slot for:
-    /// propagation plus the per-iteration launch overhead. This is the
-    /// `compute_s` input of
-    /// [`StagingModel`](crate::stage::StagingModel) — the window a
-    /// double-buffered wire transfer of the *next* batch can hide
-    /// behind.
-    fn iteration_compute_time(
-        &self,
-        stats: &WorkloadStats,
-        dims: &[usize],
-        width_factor: usize,
-    ) -> f64 {
-        self.propagation_time(stats, dims, width_factor) + self.launch_overhead()
-    }
 }
 
 /// CPU trainer: Rayon GEMM + gather from CPU DRAM. Not pipelined.
@@ -430,17 +415,6 @@ mod tests {
         // wins — the system-level gap comes from overheads, as §VI-E1's
         // normalized comparison implies
         assert!(gpu.propagation_time(&s, &DIMS, 1) < t_fpga * 10.0);
-    }
-
-    #[test]
-    fn iteration_compute_time_includes_launch_overhead() {
-        let s = stats();
-        let gpu = GpuTiming::a5000();
-        let expect = gpu.propagation_time(&s, &DIMS, 1) + gpu.launch_overhead();
-        assert!((gpu.iteration_compute_time(&s, &DIMS, 1) - expect).abs() < 1e-15);
-        // the FPGA slot window feeds the staging model directly
-        let fpga = FpgaTiming::u250();
-        assert!(fpga.iteration_compute_time(&s, &DIMS, 1) > fpga.propagation_time(&s, &DIMS, 1));
     }
 
     #[test]

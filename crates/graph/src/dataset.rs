@@ -4,8 +4,11 @@
 //! a laptop-scale reproduction; instead each spec carries the *full-scale
 //! statistics* (used by iteration counts and the performance model) and a
 //! `materialize(scale)` method that synthesizes a structurally similar
-//! graph at `|V| / scale` for functional training. DESIGN.md §2 documents
-//! why mini-batch workloads are nearly scale-invariant.
+//! graph at `|V| / scale` for functional training. Mini-batch workloads
+//! are nearly scale-invariant: `materialize` keeps the average degree,
+//! so each hop still grows the frontier by `min(fanout, d̄)`, and only
+//! the dedup correction depends on `|V|` (see `hyscale_sampler`'s
+//! `estimate` module).
 
 use crate::csr::CsrGraph;
 use crate::features::{Splits, VertexData};
